@@ -30,7 +30,6 @@ int main(int Argc, char **Argv) {
   uint64_t Repeats = 3;
   uint64_t Warmup = 1;
   uint64_t Threads = 0;
-  uint64_t TraceLanes = 0;
   uint64_t TopN = 16;
   bool Quick = false;
   bool NoWall = false;
@@ -62,10 +61,6 @@ int main(int Argc, char **Argv) {
   Parser.addUInt("top", "Phases shown in the cost-attribution summary",
                  &TopN);
   Parser.addFlag("no-summary", "Skip the cost-attribution summary", &NoSummary);
-  Parser.addUInt("trace-lanes",
-                 "Trace lanes for the runtime parallel-scavenge stages "
-                 "(0 = follow --threads, 1 = serial)",
-                 &TraceLanes);
   addThreadsOption(Parser, &Threads);
   if (!Parser.parse(Argc, Argv))
     return 1;
@@ -76,7 +71,6 @@ int main(int Argc, char **Argv) {
   report::BenchDriverOptions Options;
   Options.Suite = Suite;
   Options.Threads = static_cast<unsigned>(Threads);
-  Options.TraceLanes = static_cast<unsigned>(TraceLanes);
   Options.Repeats = static_cast<unsigned>(Repeats);
   Options.Warmup = static_cast<unsigned>(Warmup);
   Options.IncludeWall = !NoWall;

@@ -147,7 +147,6 @@ int main(int Argc, char **Argv) {
   std::string ArtifactsDir = "conformance-artifacts";
   std::string LinksOpt = "forward";
   std::string CollectorOpt = "marksweep";
-  uint64_t TraceLanes = 1;
   uint64_t ScavengeBudget = 0;
   uint64_t Mutators = 0;
   bool AbortProbe = false;
@@ -179,10 +178,6 @@ int main(int Argc, char **Argv) {
   Parser.addString("collector",
                    "Runtime strategy under test: marksweep, copying, or both",
                    &CollectorOpt);
-  Parser.addUInt("trace-lanes",
-                 "Runtime trace lanes per case (1 = serial); any value "
-                 "must leave every comparison unchanged",
-                 &TraceLanes);
   Parser.addUInt("scavenge-budget",
                  "Runtime trace quantum budget in bytes (0 = monolithic); "
                  "any value must leave every comparison unchanged",
@@ -287,7 +282,6 @@ int main(int Argc, char **Argv) {
           C.Config.Policy.MemMaxBytes = MemMaxBytes;
           C.Config.Links = Links;
           C.Config.Collector = Collector;
-          C.Config.TraceThreads = static_cast<unsigned>(TraceLanes);
           C.Config.ScavengeBudgetBytes = ScavengeBudget;
           C.Config.Mutators = static_cast<unsigned>(Mutators);
           C.Config.AbortProbe = AbortProbe;

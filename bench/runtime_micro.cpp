@@ -230,21 +230,36 @@ void buildMixedHeap(Heap &H, HandleScope &Scope, size_t Count) {
   }
 }
 
+/// A freshly built mixed heap for one timed scavenge. The fixture outlives
+/// the loop body, so the previous iteration's heap is torn down inside the
+/// next rebuild(), while the timer is paused, and the last one after the
+/// loop: neither construction nor teardown lands in the timed region.
+struct ScavengeFixture {
+  std::unique_ptr<Heap> H;
+  std::unique_ptr<HandleScope> Scope; // Declared after H: destroyed first.
+
+  void rebuild(const HeapConfig &Config, size_t Nodes) {
+    Scope.reset();
+    H = std::make_unique<Heap>(Config);
+    Scope = std::make_unique<HandleScope>(*H);
+    buildMixedHeap(*H, *Scope, Nodes);
+  }
+};
+
 /// Scavenge cost per strategy at a full boundary: mark-sweep frees dead
 /// objects individually; copying clones survivors and releases the region.
 void BM_ScavengeStrategy(benchmark::State &State) {
   const size_t Nodes = 20'000;
   const bool Copying = State.range(0) != 0;
+  HeapConfig Config = manualConfig();
+  Config.Collector =
+      Copying ? CollectorKind::Copying : CollectorKind::MarkSweep;
+  ScavengeFixture Fixture;
   for (auto _ : State) {
     State.PauseTiming();
-    HeapConfig Config = manualConfig();
-    Config.Collector =
-        Copying ? CollectorKind::Copying : CollectorKind::MarkSweep;
-    Heap H(Config);
-    HandleScope Scope(H);
-    buildMixedHeap(H, Scope, Nodes);
+    Fixture.rebuild(Config, Nodes);
     State.ResumeTiming();
-    benchmark::DoNotOptimize(H.collectAtBoundary(0));
+    benchmark::DoNotOptimize(Fixture.H->collectAtBoundary(0));
   }
   State.SetLabel(Copying ? "copying" : "mark-sweep");
 }
@@ -254,15 +269,15 @@ void BM_ScavengeByBoundary(benchmark::State &State) {
   // fraction of the heap in percent. Pause ~ threatened live bytes.
   const size_t Nodes = 20'000;
   const int ThreatenedPercent = static_cast<int>(State.range(0));
+  ScavengeFixture Fixture;
   for (auto _ : State) {
     State.PauseTiming();
-    Heap H(manualConfig());
-    HandleScope Scope(H);
-    buildMixedHeap(H, Scope, Nodes);
+    Fixture.rebuild(manualConfig(), Nodes);
+    core::AllocClock Now = Fixture.H->now();
     core::AllocClock Boundary =
-        H.now() - H.now() * static_cast<uint64_t>(ThreatenedPercent) / 100;
+        Now - Now * static_cast<uint64_t>(ThreatenedPercent) / 100;
     State.ResumeTiming();
-    benchmark::DoNotOptimize(H.collectAtBoundary(Boundary));
+    benchmark::DoNotOptimize(Fixture.H->collectAtBoundary(Boundary));
   }
   State.SetLabel(std::to_string(ThreatenedPercent) + "% threatened");
 }

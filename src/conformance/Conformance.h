@@ -109,14 +109,9 @@ struct LockstepConfig {
   uint64_t LinkSeed = 1;
   /// Probability that a new object participates in a link at all.
   double LinkProbability = 0.5;
-  /// Trace lanes for the runtime heap (HeapConfig::TraceThreads): 1 =
-  /// serial. The comparison must come out identical for every value — the
-  /// parallel trace is deterministic by design — so running the grid at
-  /// several lane counts is itself a conformance statement.
-  unsigned TraceThreads = 1;
   /// Trace quantum budget for the runtime heap
-  /// (HeapConfig::ScavengeBudgetBytes): 0 = monolithic trace. Like lanes,
-  /// any value must leave the lockstep comparison unchanged.
+  /// (HeapConfig::ScavengeBudgetBytes): 0 = monolithic trace. Any value
+  /// must leave the lockstep comparison unchanged.
   uint64_t ScavengeBudgetBytes = 0;
   /// Replay through N registered MutatorContexts instead of the direct
   /// Heap API: the driver thread round-robins allocations across the

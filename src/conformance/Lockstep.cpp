@@ -368,7 +368,6 @@ LockstepResult dtb::conformance::runLockstep(const trace::Trace &T,
   runtime::HeapConfig HeapConfig;
   HeapConfig.TriggerBytes = 0; // Collections are driven by the observer.
   HeapConfig.Collector = Config.Collector;
-  HeapConfig.TraceThreads = Config.TraceThreads;
   HeapConfig.ScavengeBudgetBytes = Config.ScavengeBudgetBytes;
   runtime::Heap H(HeapConfig);
   H.setPolicy(std::move(RuntimePolicy));

@@ -90,11 +90,6 @@ inline constexpr const char *Rendezvous = "rendezvous";
 inline constexpr const char *Publication = "publication";
 inline constexpr const char *BarrierFlush = "barrier_flush";
 inline constexpr const char *WorldRelease = "world_release";
-/// Per-lane work inside a parallel trace round. Lane profilers are merged
-/// (mergeFrom, fixed lane order) into the heap's lane profile — kept apart
-/// from the deterministic scavenge phases because per-lane attribution
-/// depends on scheduling.
-inline constexpr const char *TraceLane = "trace_lane";
 } // namespace phase
 
 /// Cross-run aggregate for one phase name.

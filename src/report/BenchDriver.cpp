@@ -285,15 +285,13 @@ constexpr RuntimeScale FullRuntime = {5'000'000, 100'000, 12'000, 300'000};
 /// controls whether heap profilers record (off for pure wall repeats).
 ///
 /// When \p Record is set, every policy also runs a second, budget-sliced
-/// pass on \p TraceLanes lanes (ScavengeBudgetBytes = Scale.TraceMaxBytes)
-/// whose exported scavenge stream must match the monolithic serial run
-/// bit for bit — the driver fatals otherwise, so any determinism breach
-/// in the parallel or incremental trace fails the bench rather than
-/// shifting numbers silently. The budgeted pass contributes the
-/// trace_quanta / max_quantum_traced_bytes metrics from one final
-/// full-heap collection, bound-checked against the budget.
-void runRuntimePolicies(const RuntimeScale &Scale, unsigned TraceLanes,
-                        BenchRecord *Record,
+/// pass (ScavengeBudgetBytes = Scale.TraceMaxBytes) whose exported
+/// scavenge stream must match the monolithic run bit for bit — the driver
+/// fatals otherwise, so any determinism breach in the budgeted trace
+/// fails the bench rather than shifting numbers silently. The budgeted
+/// pass contributes the trace_quanta / max_quantum_traced_bytes metrics
+/// from one final full-heap collection, bound-checked against the budget.
+void runRuntimePolicies(const RuntimeScale &Scale, BenchRecord *Record,
                         profiling::PhaseProfiler *Merged) {
   core::PolicyConfig PolicyConfig;
   PolicyConfig.TraceMaxBytes = Scale.TraceMaxBytes;
@@ -349,11 +347,10 @@ void runRuntimePolicies(const RuntimeScale &Scale, unsigned TraceLanes,
       Record->addExact(Prefix + "pause_p999_traced_bytes", "bytes",
                        PauseBytes.quantile(0.999));
 
-      // Budget-sliced parallel re-run: same mutator, trace cut into
-      // ScavengeBudgetBytes quanta across TraceLanes lanes.
+      // Budget-sliced re-run: same mutator, trace cut into
+      // ScavengeBudgetBytes quanta.
       runtime::HeapConfig BudgetConfig;
       BudgetConfig.TriggerBytes = Scale.TriggerBytes;
-      BudgetConfig.TraceThreads = TraceLanes;
       BudgetConfig.ScavengeBudgetBytes = Scale.TraceMaxBytes;
       runtime::Heap B(BudgetConfig);
       B.setPolicy(core::createPolicy(Name, PolicyConfig));
@@ -576,12 +573,12 @@ void runMicroStage(const BenchDriverOptions &Options, BenchRecord &Record) {
 }
 
 //===----------------------------------------------------------------------===//
-// Trace-speedup stage (parallel scavenge wall measurement)
+// Trace wall stage
 //===----------------------------------------------------------------------===//
 
 /// Builds a wide survivor-heavy heap: \p Chains handle-rooted linked
-/// chains of \p Depth nodes each, so every trace round carries ~Chains
-/// gray objects and the lanes have real work to steal.
+/// chains of \p Depth nodes each, so every BFS level of the trace carries
+/// ~Chains gray objects.
 void buildTraceGraph(runtime::Heap &H, runtime::HandleScope &Scope,
                      size_t Chains, size_t Depth) {
   for (size_t C = 0; C != Chains; ++C) {
@@ -594,46 +591,18 @@ void buildTraceGraph(runtime::Heap &H, runtime::HandleScope &Scope,
   }
 }
 
-/// Wall-times repeated full-heap scavenges of the same survivor graph at
-/// one lane vs. \p Lanes lanes and records the paired speedup ratio (the
-/// CI smoke gate checks it on multi-core runners). The two heaps' scavenge
-/// streams must agree exactly — the parallel trace is deterministic — so
-/// a divergence is fatal, not noise.
-void runTraceSpeedupStage(const BenchDriverOptions &Options, unsigned Lanes,
-                          BenchRecord &Record) {
+/// Wall-times repeated full-heap scavenges of the same survivor graph.
+/// The record has no floor; it tracks the trace's wall cost over time.
+void runTraceWallStage(const BenchDriverOptions &Options,
+                       BenchRecord &Record) {
   constexpr size_t Chains = 2'048;
   constexpr size_t Depth = 128;
 
-  runtime::HeapConfig SerialConfig = manualHeapConfig();
-  SerialConfig.TraceThreads = 1;
-  runtime::HeapConfig ParallelConfig = manualHeapConfig();
-  ParallelConfig.TraceThreads = Lanes;
-  runtime::Heap Serial(SerialConfig), Parallel(ParallelConfig);
-  runtime::HandleScope SerialScope(Serial), ParallelScope(Parallel);
-  buildTraceGraph(Serial, SerialScope, Chains, Depth);
-  buildTraceGraph(Parallel, ParallelScope, Chains, Depth);
-
-  std::vector<double> SerialSec =
-      measureWall(Options, [&] { Serial.collectAtBoundary(0); });
-  std::vector<double> ParallelSec =
-      measureWall(Options, [&] { Parallel.collectAtBoundary(0); });
-
-  const core::ScavengeRecord &A = Serial.history().last();
-  const core::ScavengeRecord &B = Parallel.history().last();
-  if (A.TracedBytes != B.TracedBytes || A.SurvivedBytes != B.SurvivedBytes ||
-      A.ReclaimedBytes != B.ReclaimedBytes)
-    fatalError("trace-speedup heaps diverge between 1 lane and " +
-               std::to_string(Lanes) + " lanes");
-
-  std::vector<double> Speedup;
-  for (size_t I = 0; I != SerialSec.size() && I != ParallelSec.size(); ++I)
-    Speedup.push_back(ParallelSec[I] > 0.0 ? SerialSec[I] / ParallelSec[I]
-                                           : 0.0);
-  Record.addWall("wall/runtime/trace_serial_seconds", "seconds", SerialSec);
-  Record.addWall("wall/runtime/trace_parallel_seconds", "seconds",
-                 ParallelSec);
-  Record.addWall("wall/runtime/trace_speedup", "ratio", Speedup,
-                 /*LowerIsBetter=*/false);
+  runtime::Heap H(manualHeapConfig());
+  runtime::HandleScope Scope(H);
+  buildTraceGraph(H, Scope, Chains, Depth);
+  Record.addWall("wall/runtime/trace_serial_seconds", "seconds",
+                 measureWall(Options, [&] { H.collectAtBoundary(0); }));
 }
 
 //===----------------------------------------------------------------------===//
@@ -736,7 +705,6 @@ BenchSuiteResult dtb::report::runBenchSuite(const BenchDriverOptions &Options) {
   BenchRecord &Record = Result.Record;
   Record.Suite = Options.Suite;
   unsigned Lanes = Options.Threads ? Options.Threads : defaultThreadCount();
-  unsigned TraceLanes = Options.TraceLanes ? Options.TraceLanes : Lanes;
 
   if (Options.IncludeEnv) {
     Record.HasEnv = true;
@@ -745,7 +713,6 @@ BenchSuiteResult dtb::report::runBenchSuite(const BenchDriverOptions &Options) {
       Record.GitSha = "unknown";
     Record.BuildFlags = buildFlagsString();
     Record.Threads = Lanes;
-    Record.TraceLanes = TraceLanes;
   }
 
   if (Options.Suite == "quick") {
@@ -753,7 +720,7 @@ BenchSuiteResult dtb::report::runBenchSuite(const BenchDriverOptions &Options) {
     profiling::PhaseProfiler &Runtime = Result.Profiles["runtime"];
     runSimGridStage(quickWorkloads(), quickGridConfig(Options.Threads),
                     Record, Sim);
-    runRuntimePolicies(QuickRuntime, TraceLanes, &Record, &Runtime);
+    runRuntimePolicies(QuickRuntime, &Record, &Runtime);
     runMutatorObservabilityStage(Record);
     if (Options.IncludeWall) {
       Record.addWall("wall/quick/sim_grid_seconds", "seconds",
@@ -764,7 +731,7 @@ BenchSuiteResult dtb::report::runBenchSuite(const BenchDriverOptions &Options) {
                      }));
       Record.addWall("wall/quick/runtime_seconds", "seconds",
                      measureWall(Options, [&] {
-                       runRuntimePolicies(QuickRuntime, 1, nullptr, nullptr);
+                       runRuntimePolicies(QuickRuntime, nullptr, nullptr);
                      }));
     }
     addProfileToRecord(Sim, "sim", Record);
@@ -775,7 +742,7 @@ BenchSuiteResult dtb::report::runBenchSuite(const BenchDriverOptions &Options) {
     ExperimentConfig Config;
     Config.Threads = Options.Threads;
     runSimGridStage(workload::paperWorkloads(), Config, Record, Sim);
-    runRuntimePolicies(FullRuntime, TraceLanes, &Record, &Runtime);
+    runRuntimePolicies(FullRuntime, &Record, &Runtime);
     if (Options.IncludeWall)
       Record.addWall("wall/paper/sim_grid_seconds", "seconds",
                      measureWall(Options, [&] {
@@ -787,15 +754,15 @@ BenchSuiteResult dtb::report::runBenchSuite(const BenchDriverOptions &Options) {
     addProfileToRecord(Runtime, "runtime", Record);
   } else if (Options.Suite == "runtime") {
     profiling::PhaseProfiler &Runtime = Result.Profiles["runtime"];
-    runRuntimePolicies(FullRuntime, TraceLanes, &Record, &Runtime);
+    runRuntimePolicies(FullRuntime, &Record, &Runtime);
     runMutatorObservabilityStage(Record);
     if (Options.IncludeWall) {
       Record.addWall("wall/runtime/policies_seconds", "seconds",
                      measureWall(Options, [&] {
-                       runRuntimePolicies(FullRuntime, 1, nullptr, nullptr);
+                       runRuntimePolicies(FullRuntime, nullptr, nullptr);
                      }));
       runMicroStage(Options, Record);
-      runTraceSpeedupStage(Options, TraceLanes, Record);
+      runTraceWallStage(Options, Record);
     }
     addProfileToRecord(Runtime, "runtime", Record);
   } else if (Options.Suite == "timing") {

@@ -54,11 +54,6 @@ struct BenchDriverOptions {
   /// Worker threads for the sim fan-out: 0 = process default, 1 = serial.
   /// Deterministic output is independent of this.
   unsigned Threads = 0;
-  /// Trace lanes for the runtime stages' parallel-scavenge passes:
-  /// 0 = follow the resolved Threads value, 1 = serial. Deterministic
-  /// output is independent of this too — the budgeted re-run per policy
-  /// verifies it by construction.
-  unsigned TraceLanes = 0;
   /// Timed repeats per wall measurement.
   unsigned Repeats = 3;
   /// Discarded warmup runs before the timed repeats.

@@ -143,8 +143,7 @@ std::string dtb::report::toJson(const BenchRecord &Record) {
     Out += "  \"env\": {\n";
     Out += "    \"git_sha\": " + quoted(Record.GitSha) + ",\n";
     Out += "    \"build_flags\": " + quoted(Record.BuildFlags) + ",\n";
-    Out += "    \"threads\": " + std::to_string(Record.Threads) + ",\n";
-    Out += "    \"trace_lanes\": " + std::to_string(Record.TraceLanes) + "\n";
+    Out += "    \"threads\": " + std::to_string(Record.Threads) + "\n";
     Out += "  },\n";
   }
 
@@ -219,7 +218,6 @@ bool dtb::report::parseBenchRecord(const std::string &Text, BenchRecord *Out,
     Record.GitSha = Env->stringOr("git_sha", "");
     Record.BuildFlags = Env->stringOr("build_flags", "");
     Record.Threads = static_cast<unsigned>(Env->numberOr("threads", 0));
-    Record.TraceLanes = static_cast<unsigned>(Env->numberOr("trace_lanes", 0));
   }
 
   const json::Value *Metrics = Root.find("metrics");

@@ -94,10 +94,6 @@ struct BenchRecord {
   std::string GitSha;
   std::string BuildFlags;
   unsigned Threads = 0;
-  /// Trace lanes the runtime stages collected with. Distinguishes records
-  /// from different --threads runs: the deterministic metrics are
-  /// bit-identical across lane counts, but the wall metrics are not.
-  unsigned TraceLanes = 0;
 
   /// Emission order is preserved in the JSON; lookup is by name.
   std::vector<BenchMetric> Metrics;

@@ -22,8 +22,9 @@
 
 #include "core/MachineModel.h"
 #include "runtime/Mutator.h"
-#include "runtime/TraceLanes.h"
+#include "runtime/TraceQuantum.h"
 #include "support/Error.h"
+#include "support/FaultInjector.h"
 #include "telemetry/Telemetry.h"
 
 #include <cassert>
@@ -61,8 +62,6 @@ core::ScavengeRecord Heap::collectAtBoundary(AllocClock Boundary) {
   InCollection = true;
 
   LastStats = CollectionStats();
-  WatchdogConsecutive = 0;
-  WatchdogSerial = false;
   EffectiveBudgetBytes = 0;
   uint64_t MemBefore = ResidentBytes;
   Demographics.beginScavenge(Boundary);
@@ -343,52 +342,6 @@ void Heap::seedMarkSweepRoots(AllocClock Boundary, AllocClock BlackClock,
   }
 }
 
-void Heap::scanMarkSweepObject(Object *O, AllocClock Boundary,
-                               AllocClock BlackClock, TraceLane &Lane) {
-  // Trace only within the threatened set: pointers to immune objects need
-  // no action (immune objects are assumed live), and pointers out of
-  // immune objects were handled through the remembered set. The mark bit
-  // doubles as the claim: the fetch_or admits exactly one lane per child.
-  for (uint32_t I = 0, E = O->numSlots(); I != E; ++I) {
-    Object *Child = O->slot(I);
-    if (!Child || Child->birth() <= Boundary || Child->birth() > BlackClock)
-      continue;
-    if (!Child->tryAcquireFlag(Object::FlagMarked))
-      continue;
-    assert(Child->isAlive() && "tracing through a reclaimed object");
-    Lane.TracedBytes += Child->grossBytes();
-    Lane.ObjectsTraced += 1;
-    Lane.Survivors.push_back({Child->birth(), Child->grossBytes()});
-    Lane.addChild(Child);
-  }
-}
-
-void Heap::drainTraceLanes(TraceLaneSet &Lanes, std::vector<Object *> &Gray,
-                           ScavengeWork &Work) {
-  for (unsigned I = 0; I != Lanes.numLanes(); ++I) {
-    TraceLane &Lane = Lanes.lane(I);
-    Work.TracedBytes += Lane.TracedBytes;
-    LastStats.ObjectsTraced += Lane.ObjectsTraced;
-    LastStats.ObjectsMoved += Lane.ObjectsMoved;
-    LastStats.LaneOverflowEvents += Lane.OverflowEvents;
-    // recordSurvivor is a commutative sum per epoch, so replaying the
-    // lanes' buffers in lane order yields the same table as any serial
-    // marking order.
-    for (const auto &[Birth, Bytes] : Lane.Survivors)
-      Demographics.recordSurvivor(Birth, Bytes);
-    Gray.insert(Gray.end(), Lane.Children.begin(), Lane.Children.end());
-    Lane.TracedBytes = 0;
-    Lane.ObjectsTraced = 0;
-    Lane.ObjectsMoved = 0;
-    Lane.OverflowEvents = 0;
-    Lane.Survivors.clear();
-    Lane.Children.clear();
-  }
-  std::vector<Object *> &Overflow = Lanes.overflow();
-  Gray.insert(Gray.end(), Overflow.begin(), Overflow.end());
-  Overflow.clear();
-}
-
 uint64_t Heap::traceMarkSweepQuantum(AllocClock Boundary,
                                      AllocClock BlackClock,
                                      std::vector<Object *> &Gray,
@@ -399,15 +352,6 @@ uint64_t Heap::traceMarkSweepQuantum(AllocClock Boundary,
   if (EffectiveBudgetBytes != 0)
     BudgetBytes = EffectiveBudgetBytes;
 
-  bool PoolIsPrivate = false;
-  ThreadPool *Pool = tracePoolFor(&PoolIsPrivate);
-  TraceLaneSet Lanes(Pool, PoolIsPrivate);
-  if (WatchdogSerial)
-    Lanes.degradeAllRounds();
-  if (Profiler.active())
-    for (unsigned I = 0; I != Lanes.numLanes(); ++I)
-      Lanes.lane(I).Profiler.setEnabled(true);
-
   // Wall time is quarantined observability (like every `wall.` metric):
   // it never feeds the deterministic violation decision below.
   std::chrono::steady_clock::time_point WallStart;
@@ -415,17 +359,14 @@ uint64_t Heap::traceMarkSweepQuantum(AllocClock Boundary,
   if (MeasureWall)
     WallStart = std::chrono::steady_clock::now();
 
-  uint64_t Scanned = runTraceQuantum(
-      Lanes, Gray, BudgetBytes,
-      [&](Object *O, TraceLane &Lane) {
-        scanMarkSweepObject(O, Boundary, BlackClock, Lane);
-      },
-      [&](std::vector<Object *> &G) { drainTraceLanes(Lanes, G, Work); });
-
-  // Per-lane attribution is scheduling-dependent; it folds into the
-  // quarantined lane profile, never the deterministic phase costs.
-  for (unsigned I = 0; I != Lanes.numLanes(); ++I)
-    LaneProfile.mergeFrom(Lanes.lane(I).Profiler);
+  // Trace only within the threatened set (markThreatened skips the rest):
+  // pointers to immune objects need no action (immune objects are assumed
+  // live), and pointers out of immune objects were handled through the
+  // remembered set.
+  uint64_t Scanned = runTraceQuantum(Gray, BudgetBytes, [&](Object *O) {
+    for (uint32_t I = 0, E = O->numSlots(); I != E; ++I)
+      markThreatened(O->slot(I), Boundary, BlackClock, Gray, Work);
+  });
 
   LastStats.TraceQuanta += 1;
   if (Scanned > LastStats.MaxQuantumTracedBytes)
@@ -455,13 +396,10 @@ uint64_t Heap::traceMarkSweepQuantum(AllocClock Boundary,
     Violated = true;
     Cause = "quantum over deadline";
   }
-  if (!Violated) {
-    WatchdogConsecutive = 0;
+  if (!Violated)
     return Scanned;
-  }
 
   LastStats.WatchdogViolations += 1;
-  WatchdogConsecutive += 1;
   // Retry-halving backoff: each violation halves the budget the next
   // quantum runs under (an unbounded budget starts from what this quantum
   // actually scanned), with a floor of one byte — a quantum always makes
@@ -475,15 +413,6 @@ uint64_t Heap::traceMarkSweepQuantum(AllocClock Boundary,
                        std::to_string(Config.QuantumDeadlineMillis) +
                        " ms); budget halved to " +
                        std::to_string(EffectiveBudgetBytes);
-  if (!WatchdogSerial && Config.WatchdogMaxConsecutive != 0 &&
-      WatchdogConsecutive >= Config.WatchdogMaxConsecutive) {
-    // K consecutive violations: the parallel fan-out itself is suspect
-    // (steal storms, cache pressure); degrade to a single shared cursor
-    // for the rest of the collection. Results are bit-identical — only
-    // scheduling changes — so this is safe to do deterministically.
-    WatchdogSerial = true;
-    Detail += "; degrading to serial shared-cursor tracing";
-  }
   recordDegradation({DegradationKind::WatchdogDeadline, Clock, 0,
                      BudgetBytes, ResidentBytes, std::move(Detail)});
   return Scanned;
@@ -584,8 +513,6 @@ void Heap::beginIncrementalScavenge(AllocClock Boundary) {
   Inc.PrevStats = LastStats;
   Inc.DemoSnapshot = Demographics.liveEstimatesSnapshot();
   LastStats = CollectionStats();
-  WatchdogConsecutive = 0;
-  WatchdogSerial = false;
   EffectiveBudgetBytes = 0;
   Demographics.beginScavenge(Boundary);
   syncIncMirror();
@@ -692,14 +619,14 @@ void Heap::abortIncrementalCycle(const char *Why) {
   const uint64_t Quanta = LastStats.TraceQuanta;
 
   // Clear every mark this cycle set. Only threatened objects born at or
-  // before BlackClock were ever marked (mark-sweep never sets the claim
-  // flag separately), and the allocation list is birth-ordered, so the
-  // walk covers exactly the threatened non-black window.
+  // before BlackClock were ever marked, and the allocation list is
+  // birth-ordered, so the walk covers exactly the threatened non-black
+  // window.
   for (size_t I = firstBornAfter(Boundary), E = Objects.size(); I != E; ++I) {
     Object *O = Objects[I];
     if (O->birth() > BlackClock)
       break;
-    O->clearTraceFlags();
+    O->clearMarked();
   }
 
   // Roll back everything the cycle touched: the survivor-table estimates
@@ -710,8 +637,6 @@ void Heap::abortIncrementalCycle(const char *Why) {
   LastStats = Inc.PrevStats;
   Inc = IncrementalState();
   syncIncMirror();
-  WatchdogConsecutive = 0;
-  WatchdogSerial = false;
   EffectiveBudgetBytes = 0;
 
   // Close the partial phase tree (no frames stay open between incremental
@@ -758,7 +683,6 @@ IncrementalCycleInfo Heap::incrementalCycleInfo() const {
   Info.BudgetBytes = EffectiveBudgetBytes != 0 ? EffectiveBudgetBytes
                                                : Config.ScavengeBudgetBytes;
   Info.RebuildRemSet = Inc.RebuildRemSet;
-  Info.SerialDegraded = WatchdogSerial;
   Info.WatchdogViolations = LastStats.WatchdogViolations;
   return Info;
 }

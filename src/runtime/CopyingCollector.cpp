@@ -17,29 +17,24 @@
 // "may maintain object locations in any order" (Figure 1's caption) while
 // the logical age order is preserved.
 //
-// Evacuation runs on the shared trace-lane engine (TraceLanes.h): lanes
-// race an atomic fetch_or on the header's claim bit, so exactly one lane
-// copies each object; the winner publishes the copy through a release
-// store into a side table of forwarding slots (indexed by the original's
-// position in the threatened suffix — the 24-byte header has no room for
-// a forwarding pointer), and losers acquire-spin on that slot. Which lane
-// wins is scheduling-dependent; what is copied, accounted, and published
-// is not.
+// Evacuation is serial and runs with the world stopped. A survivor's
+// copy is published in a side table of forwarding slots, indexed by the
+// original's position in the threatened suffix (the 24-byte header has no
+// room for a forwarding pointer); a filled slot is the "already copied"
+// test.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Heap.h"
 
 #include "runtime/Mutator.h"
-#include "runtime/TraceLanes.h"
+#include "runtime/TraceQuantum.h"
 #include "support/Error.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <new>
-#include <thread>
 #include <vector>
 
 using namespace dtb;
@@ -54,8 +49,8 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
   // list is birth-ordered and frozen until the sweep, so a threatened
   // original's slot is recoverable by position (direct index in the
   // sweep, binary search on the unique birth elsewhere).
-  std::vector<std::atomic<Object *>> Forward(Objects.size() - Begin);
-  auto forwardSlot = [&](const Object *O) -> std::atomic<Object *> & {
+  std::vector<Object *> Forward(Objects.size() - Begin);
+  auto forwardSlot = [&](const Object *O) -> Object *& {
     auto It = std::lower_bound(
         Objects.begin() + static_cast<ptrdiff_t>(Begin), Objects.end(),
         O->birth(),
@@ -68,107 +63,74 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
     return O && O->birth() > Boundary;
   };
 
-  // Evacuates a threatened object (or visits it in place when pinned) and
-  // returns its post-collection address. Safe from any lane: the claim
-  // bit admits exactly one winner, losers wait for the winner's publish.
-  auto relocate = [&](Object *O, TraceLane &Lane) -> Object * {
+  std::vector<Object *> Gray;
+
+  // Evacuates a threatened object (or visits it in place when pinned),
+  // queues it for scanning the first time it is reached, and returns its
+  // post-collection address.
+  auto relocate = [&](Object *O) -> Object * {
     assert(isThreatened(O) && "relocating an immune object");
     assert(O->isAlive() && "relocating a reclaimed object");
-    std::atomic<Object *> &Slot = forwardSlot(O);
-    if (!O->tryAcquireFlag(Object::FlagClaimed)) {
-      // Another lane owns the evacuation; its publish is imminent.
-      Object *Published = Slot.load(std::memory_order_acquire);
-      while (!Published) {
-        std::this_thread::yield();
-        Published = Slot.load(std::memory_order_acquire);
-      }
-      return Published;
-    }
+    Object *&Slot = forwardSlot(O);
+    if (Slot)
+      return Slot;
+    Work.TracedBytes += O->grossBytes();
+    LastStats.ObjectsTraced += 1;
+    Demographics.recordSurvivor(O->birth(), O->grossBytes());
     if (isPinned(O)) {
       // Pinned objects are traced in place and keep their address; the
       // mark bit records the in-place survival for the sweep.
-      O->setFlagAtomic(Object::FlagMarked);
-      Lane.TracedBytes += O->grossBytes();
-      Lane.ObjectsTraced += 1;
-      Lane.Survivors.push_back({O->birth(), O->grossBytes()});
-      Lane.addChild(O);
-      Slot.store(O, std::memory_order_release);
-      return O;
+      O->setMarked();
+      Slot = O;
+    } else {
+      // Clone: identical header (birth included) and payload. Copies
+      // always get dedicated storage, even when the original lived inside
+      // a TLAB block.
+      Slot = static_cast<Object *>(::operator new(O->grossBytes()));
+      std::memcpy(static_cast<void *>(Slot), static_cast<const void *>(O),
+                  O->grossBytes());
+      Slot->Storage = Object::StorageOwn;
+      LastStats.ObjectsMoved += 1;
     }
-    // Clone: identical header (birth included) and payload. The header is
-    // copied field by field rather than memcpy'd — losing lanes may still
-    // be doing atomic claim RMWs on the original's flag byte, and a plain
-    // whole-header read would race with them.
-    void *Memory = ::operator new(O->grossBytes());
-    Object *Copy = reinterpret_cast<Object *>(Memory);
-    Copy->Magic = Object::MagicAlive;
-    Copy->Flags = 0;
-    // Copies always get dedicated storage, even when the original lived
-    // inside a TLAB block.
-    Copy->Storage = Object::StorageOwn;
-    Copy->NumSlots = O->NumSlots;
-    Copy->RawBytes = O->RawBytes;
-    Copy->GrossBytes = O->GrossBytes;
-    Copy->Birth = O->Birth;
-    std::memcpy(static_cast<void *>(Copy + 1),
-                static_cast<const void *>(O + 1),
-                O->grossBytes() - sizeof(Object));
-    Lane.TracedBytes += O->grossBytes();
-    Lane.ObjectsTraced += 1;
-    Lane.ObjectsMoved += 1;
-    Lane.Survivors.push_back({O->birth(), O->grossBytes()});
-    Lane.addChild(Copy);
-    Slot.store(Copy, std::memory_order_release);
-    return Copy;
+    Gray.push_back(Slot);
+    return Slot;
   };
 
-  // Scan body for the parallel rounds: fix up one copy's (or pinned
-  // survivor's) slots, relocating threatened targets. The scanned object
-  // is exclusive to this lane, so the slot writes need no synchronization.
-  auto scanForPromotion = [&](Object *O, TraceLane &Lane) {
+  // Fixes up one copy's (or pinned survivor's) slots, relocating
+  // threatened targets.
+  auto scanForPromotion = [&](Object *O) {
     for (uint32_t I = 0, E = O->numSlots(); I != E; ++I) {
       Object *Target = O->slot(I);
       if (!isThreatened(Target))
         continue;
-      Object *Moved = relocate(Target, Lane);
+      Object *Moved = relocate(Target);
       if (Moved != Target)
         O->setSlotRaw(I, Moved);
     }
   };
 
-  bool PoolIsPrivate = false;
-  ThreadPool *Pool = tracePoolFor(&PoolIsPrivate);
-  TraceLaneSet Lanes(Pool, PoolIsPrivate);
-  if (Profiler.active())
-    for (unsigned I = 0; I != Lanes.numLanes(); ++I)
-      Lanes.lane(I).Profiler.setEnabled(true);
-  std::vector<Object *> Gray;
-
   // --- Roots ------------------------------------------------------------
   // Phase costs mirror the mark-sweep strategy: bytes evacuated during
   // each phase (the Work.TracedBytes delta); the transitive scan is the
   // promote phase — it is where survivors get copied out of the region.
-  // Root and remset scans run serially on lane 0, drained per phase so
-  // each phase's cost is exactly the bytes it discovered.
   {
     profiling::ProfilePhase Phase(&Profiler, profiling::phase::RootScan);
     uint64_t Before = Work.TracedBytes;
     for (Object **Root : GlobalRoots)
       if (isThreatened(*Root))
-        *Root = relocate(*Root, Lanes.serialLane());
+        *Root = relocate(*Root);
     for (Object *&Handle : HandleSlots)
       if (isThreatened(Handle))
-        Handle = relocate(Handle, Lanes.serialLane());
+        Handle = relocate(Handle);
     for (Object *PinnedObject : Pinned)
       if (isThreatened(PinnedObject))
-        relocate(PinnedObject, Lanes.serialLane()); // In place; no move.
+        relocate(PinnedObject); // In place; no move.
     // Per-context root slots are updated in place, exactly like handles
     // (the world is stopped, so the slots are stable).
     for (MutatorContext *Ctx : Mutators)
       for (Object *&Root : Ctx->Roots)
         if (isThreatened(Root))
-          Root = relocate(Root, Lanes.serialLane());
-    drainTraceLanes(Lanes, Gray, Work);
+          Root = relocate(Root);
     Phase.addCost(Work.TracedBytes - Before);
   }
 
@@ -187,11 +149,10 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
       }
       if (Source->birth() <= Boundary && isThreatened(Target)) {
         LastStats.RememberedSetRoots += 1;
-        Source->setSlotRaw(SlotIndex, relocate(Target, Lanes.serialLane()));
+        Source->setSlotRaw(SlotIndex, relocate(Target));
       }
       return true;
     });
-    drainTraceLanes(Lanes, Gray, Work);
     Phase.addCost(Work.TracedBytes - Before);
   }
 
@@ -199,22 +160,19 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
   // Scan copies (and pinned survivors) for pointers into the threatened
   // region; such targets are themselves relocated and the slots fixed up.
   // Slots referencing immune objects are left alone — immune objects do
-  // not move. Runs as budget-bounded quanta of parallel rounds.
+  // not move. Runs as budget-bounded quanta.
   {
     profiling::ProfilePhase Phase(&Profiler, profiling::phase::Promote);
     uint64_t Before = Work.TracedBytes;
     while (!Gray.empty()) {
-      uint64_t Scanned = runTraceQuantum(
-          Lanes, Gray, Config.ScavengeBudgetBytes, scanForPromotion,
-          [&](std::vector<Object *> &G) { drainTraceLanes(Lanes, G, Work); });
+      uint64_t Scanned =
+          runTraceQuantum(Gray, Config.ScavengeBudgetBytes, scanForPromotion);
       LastStats.TraceQuanta += 1;
       if (Scanned > LastStats.MaxQuantumTracedBytes)
         LastStats.MaxQuantumTracedBytes = Scanned;
     }
     Phase.addCost(Work.TracedBytes - Before);
   }
-  for (unsigned I = 0; I != Lanes.numLanes(); ++I)
-    LaneProfile.mergeFrom(Lanes.lane(I).Profiler);
 
   // --- Weak-reference processing ----------------------------------------
   // Weak references follow moved targets and are cleared when the target
@@ -228,7 +186,7 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
       Object *Target = Weak->get();
       if (!isThreatened(Target))
         continue;
-      Object *Survivor = forwardSlot(Target).load(std::memory_order_relaxed);
+      Object *Survivor = forwardSlot(Target);
       if (!Survivor)
         Weak->set(nullptr);
       else if (Survivor != Target)
@@ -244,7 +202,7 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
   RemSet.remapSources([&](Object *Source) -> Object * {
     if (!isThreatened(Source))
       return Source; // Immune sources stay put.
-    return forwardSlot(Source).load(std::memory_order_relaxed);
+    return forwardSlot(Source);
   });
 
   // --- Region release and list rebuild ----------------------------------
@@ -256,9 +214,9 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
     size_t Out = Begin;
     for (size_t I = Begin, E = Objects.size(); I != E; ++I) {
       Object *O = Objects[I];
-      Object *Survivor = Forward[I - Begin].load(std::memory_order_relaxed);
+      Object *Survivor = Forward[I - Begin];
       if (Survivor == O) { // Pinned survivor, traced in place.
-        O->clearTraceFlags();
+        O->clearMarked();
         Objects[Out++] = O;
         continue;
       }

@@ -85,8 +85,7 @@ enum class DegradationKind : uint8_t {
   CycleAborted,
   /// A trace quantum exceeded the configured per-quantum pause deadline
   /// (deterministic machine-model cost) or an injected watchdog fault
-  /// fired; the effective scavenge budget was halved, and after K
-  /// consecutive violations tracing degrades to a serial shared cursor.
+  /// fired; the effective scavenge budget was halved.
   WatchdogDeadline,
 };
 

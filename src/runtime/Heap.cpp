@@ -4,7 +4,6 @@
 
 #include "support/Error.h"
 #include "support/FaultInjector.h"
-#include "support/ThreadPool.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
@@ -39,21 +38,6 @@ Heap::~Heap() {
       ::operator delete(static_cast<void *>(O));
   for (auto &Block : TlabBlocks)
     ::operator delete(Block->Begin);
-}
-
-ThreadPool *Heap::tracePoolFor(bool *PoolIsPrivate) {
-  *PoolIsPrivate = false;
-  if (Config.TraceThreads == 1)
-    return nullptr;
-  if (Config.TraceThreads == 0)
-    return defaultThreadPool();
-  // N > 1: a heap-private pool of N - 1 workers (the collecting thread is
-  // the N-th lane), created once and reused so collections do not respawn
-  // threads.
-  if (!TracePool)
-    TracePool = std::make_unique<ThreadPool>(Config.TraceThreads - 1);
-  *PoolIsPrivate = true;
-  return TracePool.get();
 }
 
 void Heap::setPolicy(std::unique_ptr<core::BoundaryPolicy> NewPolicy) {

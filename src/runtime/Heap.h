@@ -64,14 +64,9 @@
 #include <vector>
 
 namespace dtb {
-
-class ThreadPool;
-
 namespace runtime {
 
 class MutatorContext;
-struct TraceLane;
-class TraceLaneSet;
 
 /// Which scavenging strategy the heap uses. Both implement the same
 /// threatened-set contract; see Collector.cpp / CopyingCollector.cpp.
@@ -118,12 +113,6 @@ struct HeapConfig {
   /// When non-null, one human-readable line is written here per
   /// collection (a classic GC log). Not owned.
   std::FILE *LogStream = nullptr;
-  /// Trace lanes for the transitive mark/evacuation phase: 1 = serial
-  /// (default), N > 1 = a heap-private pool of N - 1 workers plus the
-  /// collecting thread, 0 = borrow the process-wide default pool
-  /// (--threads). Results are bit-identical for every setting; only wall
-  /// time changes.
-  unsigned TraceThreads = 1;
   /// Bounds the gross bytes of gray objects scanned per trace quantum
   /// (0 = unbounded, the whole trace runs as one quantum). A quantum may
   /// overshoot by at most one object, so the worst-case per-quantum pause
@@ -142,11 +131,6 @@ struct HeapConfig {
   /// observed only as quarantined `wall.` telemetry — violations and
   /// their responses are fully deterministic.
   double QuantumDeadlineMillis = 0.0;
-  /// Consecutive watchdog violations after which the trace degrades to a
-  /// serial shared cursor (every lane contends on one cursor, no private
-  /// child buffers) for the remainder of the collection. Results stay
-  /// bit-identical; only scheduling changes.
-  unsigned WatchdogMaxConsecutive = 3;
   /// Mid-cycle pressure rung i1: maximum extra incremental quanta
   /// tryAllocate runs on an open cycle before escalating to
   /// complete-now/abort.
@@ -174,10 +158,6 @@ struct CollectionStats {
   /// proxy a ScavengeBudgetBytes bound is judged against. At most
   /// ScavengeBudgetBytes + max object gross when budgeted.
   uint64_t MaxQuantumTracedBytes = 0;
-  /// Times a lane's private child buffer overflowed to the shared list
-  /// (diagnostic; deterministic under fault injection, where every child
-  /// detours).
-  uint64_t LaneOverflowEvents = 0;
   /// Pause-deadline watchdog violations during this collection (machine-
   /// model cost over HeapConfig::QuantumDeadlineMillis, or injected
   /// watchdog faults). Each one halved the effective scavenge budget.
@@ -206,8 +186,6 @@ struct IncrementalCycleInfo {
   /// 0 = unbounded).
   uint64_t BudgetBytes = 0;
   bool RebuildRemSet = false;
-  /// True once the watchdog degraded tracing to a serial shared cursor.
-  bool SerialDegraded = false;
   uint64_t WatchdogViolations = 0;
 };
 
@@ -425,13 +403,6 @@ public:
   profiling::PhaseProfiler &profiler() { return Profiler; }
   const profiling::PhaseProfiler &profiler() const { return Profiler; }
 
-  /// Aggregated per-lane trace work (phase "trace_lane"), merged from the
-  /// lanes' private profilers in fixed lane order after every round. Kept
-  /// separate from profiler(): how work splits across lanes depends on
-  /// scheduling, so this profile is *not* part of the deterministic
-  /// surface and never feeds BENCH exact metrics.
-  const profiling::PhaseProfiler &laneProfiler() const { return LaneProfile; }
-
   /// The decision explanation the policy filled during the most recent
   /// collect() (inputs, candidate epoch, predictions). Only populated
   /// while telemetry is enabled; check lastDecisionValid().
@@ -574,14 +545,8 @@ private:
     std::vector<uint64_t> DemoSnapshot;
   };
 
-  /// The pool trace rounds fan out over, per Config.TraceThreads: null for
-  /// serial, the shared default pool for 0, else a lazily created private
-  /// pool (*PoolIsPrivate reports which) reused across collections.
-  ThreadPool *tracePoolFor(bool *PoolIsPrivate);
-
   /// Marks \p O if it is threatened, unmarked, and born at or before
-  /// \p BlackClock; accounts it and pushes it on \p Gray. Serial phases
-  /// only (root/remset scans and barrier-grey replay).
+  /// \p BlackClock; accounts it and pushes it on \p Gray.
   bool markThreatened(Object *O, core::AllocClock Boundary,
                       core::AllocClock BlackClock, std::vector<Object *> &Gray,
                       ScavengeWork &Work);
@@ -590,9 +555,6 @@ private:
   void seedMarkSweepRoots(core::AllocClock Boundary,
                           core::AllocClock BlackClock,
                           std::vector<Object *> &Gray, ScavengeWork &Work);
-  /// Parallel scan body: claims \p O's threatened children into \p Lane.
-  void scanMarkSweepObject(Object *O, core::AllocClock Boundary,
-                           core::AllocClock BlackClock, TraceLane &Lane);
   /// One budgeted quantum of the mark-sweep trace (0 = drain fully).
   /// Returns gross bytes scanned and updates the quantum stats.
   uint64_t traceMarkSweepQuantum(core::AllocClock Boundary,
@@ -606,10 +568,6 @@ private:
   /// IncrementalStep fault, and the mid-cycle pressure ladder; \p Why
   /// leads the CycleAborted event's detail.
   void abortIncrementalCycle(const char *Why);
-  /// Merges lane buffers (fixed lane order) into the gray queue, the
-  /// collection stats, demographics, and the lane profile.
-  void drainTraceLanes(TraceLaneSet &Lanes, std::vector<Object *> &Gray,
-                       ScavengeWork &Work);
   /// Shared bookkeeping tail of every collection (record assembly,
   /// history, demographics close, optional remset rebuild, telemetry).
   core::ScavengeRecord completeCollection(core::AllocClock Boundary,
@@ -678,11 +636,6 @@ private:
 
   /// Phase-level cost attribution for this heap's collections.
   profiling::PhaseProfiler Profiler;
-  /// Scheduling-dependent per-lane attribution (see laneProfiler()).
-  profiling::PhaseProfiler LaneProfile;
-  /// Lazily created private trace pool (Config.TraceThreads > 1), reused
-  /// across collections so lanes do not respawn threads per scavenge.
-  std::unique_ptr<ThreadPool> TracePool;
   IncrementalState Inc;
   /// Decision explanation from the most recent collect() (see
   /// lastDecision()); valid only when LastDecisionValid.
@@ -753,11 +706,9 @@ private:
   mutable FlightRecorder FlightRec;
 
   /// Pause-deadline watchdog state, reset at the start of every
-  /// collection (and by abortIncrementalScavenge). EffectiveBudgetBytes
-  /// overrides the configured scavenge budget once backoff engages
-  /// (0 = no override yet).
-  unsigned WatchdogConsecutive = 0;
-  bool WatchdogSerial = false;
+  /// collection (and by abortIncrementalScavenge): overrides the
+  /// configured scavenge budget once backoff engages (0 = no override
+  /// yet).
   uint64_t EffectiveBudgetBytes = 0;
 
   std::vector<Object *> Objects; // Birth-ordered.

@@ -109,7 +109,6 @@ dtb::runtime::collectDemographics(const Heap &H, AllocClock BaseAgeBytes) {
   Demo.CycleTracedBytes = Cycle.TracedBytes;
   Demo.CycleQuanta = Cycle.Quanta;
   Demo.CycleBudgetBytes = Cycle.BudgetBytes;
-  Demo.CycleSerialDegraded = Cycle.SerialDegraded;
 
   Demo.Phase = gcPhaseName(H.phase());
   Demo.MutatorContexts = H.mutatorContexts().size();
@@ -201,7 +200,7 @@ void dtb::runtime::printDemographics(const HeapDemographics &Demo,
     std::fprintf(Out,
                  "incremental cycle: tb=%llu black=%llu gray %llu objects / "
                  "%llu bytes (+%llu pending), %llu quanta so far, traced "
-                 "%llu, budget %llu%s\n",
+                 "%llu, budget %llu\n",
                  static_cast<unsigned long long>(Demo.CycleBoundary),
                  static_cast<unsigned long long>(Demo.CycleBlackClock),
                  static_cast<unsigned long long>(Demo.CycleGrayObjects),
@@ -209,9 +208,7 @@ void dtb::runtime::printDemographics(const HeapDemographics &Demo,
                  static_cast<unsigned long long>(Demo.CyclePendingGrayObjects),
                  static_cast<unsigned long long>(Demo.CycleQuanta),
                  static_cast<unsigned long long>(Demo.CycleTracedBytes),
-                 static_cast<unsigned long long>(Demo.CycleBudgetBytes),
-                 Demo.CycleSerialDegraded ? " [watchdog: serial-degraded]"
-                                          : "");
+                 static_cast<unsigned long long>(Demo.CycleBudgetBytes));
   }
 
   if (Demo.MutatorContexts != 0) {

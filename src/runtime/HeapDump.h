@@ -68,7 +68,6 @@ struct HeapDemographics {
   uint64_t CycleTracedBytes = 0;
   uint64_t CycleQuanta = 0;
   uint64_t CycleBudgetBytes = 0;
-  bool CycleSerialDegraded = false;
   /// Multi-mutator runtime state (all-zero / "not-collecting" for a heap
   /// with no registered contexts): the phase machine, registered context
   /// count, and the TLAB/safepoint counters from Heap::mutatorStats().

@@ -82,11 +82,11 @@ std::unordered_set<const Object *> computeReachable(const Heap &H,
 VerifyResult dtb::runtime::verifyHeap(const Heap &H) {
   VerifyResult Result;
 
-  // Structural checks over the allocation list. Trace-flag hygiene rides
-  // along: mark/claim bits are collection-internal, so outside an open
+  // Structural checks over the allocation list. Mark-bit hygiene rides
+  // along: the mark is collection-internal, so outside an open
   // incremental cycle none may linger (an aborted cycle must scrub every
-  // flag it set), and during one only the cycle's threatened non-black
-  // window may carry the mark.
+  // mark it set), and during one only the cycle's threatened non-black
+  // window may carry it.
   IncrementalCycleInfo Cycle = H.incrementalCycleInfo();
   std::unordered_set<const Object *> Resident;
   core::AllocClock PrevBirth = 0;
@@ -99,13 +99,10 @@ VerifyResult dtb::runtime::verifyHeap(const Heap &H) {
                   describeObject(O));
     if (O->birth() > H.now())
       Result.fail(describeObject(O) + " was born after the current clock");
-    if (O->traceFlags() != 0) {
+    if (O->isMarked()) {
       if (!Cycle.Active)
         Result.fail(describeObject(O) +
-                    " carries a stale trace flag outside a collection");
-      else if ((O->traceFlags() & Object::FlagClaimed) != 0)
-        Result.fail(describeObject(O) +
-                    " carries the claim flag during a mark-sweep cycle");
+                    " carries a stale mark outside a collection");
       else if (O->birth() <= Cycle.Boundary || O->birth() > Cycle.BlackClock)
         Result.fail(describeObject(O) +
                     " is marked but lies outside the open cycle's "

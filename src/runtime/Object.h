@@ -19,7 +19,6 @@
 
 #include "core/AllocClock.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -39,10 +38,6 @@ public:
 
   enum : uint8_t {
     FlagMarked = 1u << 0,
-    /// Transient evacuation claim: the copying collector's lanes race a
-    /// fetch_or on this bit to decide which lane copies the object. Never
-    /// set outside a collection; cleared (with FlagMarked) at sweep.
-    FlagClaimed = 1u << 1,
   };
 
   /// Where the object's storage came from — decides how releaseStorage
@@ -69,11 +64,6 @@ public:
 
   bool isAlive() const { return Magic == MagicAlive; }
   bool isMarked() const { return (Flags & FlagMarked) != 0; }
-  /// Raw mark + claim bits, for the verifier's flag-hygiene check (no
-  /// resident object may carry either outside a collection).
-  uint8_t traceFlags() const {
-    return Flags & static_cast<uint8_t>(FlagMarked | FlagClaimed);
-  }
 
   /// Reads pointer slot \p Index (no barrier needed for reads).
   Object *slot(uint32_t Index) const {
@@ -108,29 +98,6 @@ private:
 
   void setMarked() { Flags |= FlagMarked; }
   void clearMarked() { Flags &= static_cast<uint8_t>(~FlagMarked); }
-
-  /// Atomically sets \p Flag on the header; returns true iff this call is
-  /// the one that set it (the caller "claimed" the object). Parallel trace
-  /// lanes race this on FlagMarked (mark-sweep) or FlagClaimed (copying);
-  /// all flag mutations during a parallel phase must go through the
-  /// atomic helpers so plain and concurrent accesses never mix.
-  bool tryAcquireFlag(uint8_t Flag) {
-    std::atomic_ref<uint8_t> F(Flags);
-    return (F.fetch_or(Flag, std::memory_order_acq_rel) & Flag) == 0;
-  }
-
-  /// Atomically sets \p Flag without caring who wins (e.g. a claiming lane
-  /// also marking a pinned object it traces in place).
-  void setFlagAtomic(uint8_t Flag) {
-    std::atomic_ref<uint8_t> F(Flags);
-    F.fetch_or(Flag, std::memory_order_acq_rel);
-  }
-
-  /// Clears both trace-time flags (mark + claim). Sweep-only; runs after
-  /// all lanes have joined, so a plain store is safe.
-  void clearTraceFlags() {
-    Flags &= static_cast<uint8_t>(~(FlagMarked | FlagClaimed));
-  }
 
   uint16_t Magic = MagicAlive;
   uint8_t Flags = 0;

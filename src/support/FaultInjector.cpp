@@ -18,8 +18,6 @@ const char *dtb::faultSiteName(FaultSite Site) {
     return "policy-evaluation";
   case FaultSite::TraceIO:
     return "trace-io";
-  case FaultSite::ParallelTrace:
-    return "parallel-trace";
   case FaultSite::IncrementalStep:
     return "incremental-step";
   case FaultSite::CycleAbort:

@@ -57,13 +57,6 @@ enum class FaultSite : unsigned {
   PolicyEvaluation,
   /// Trace file I/O — reads and writes fail with a recoverable error.
   TraceIO,
-  /// Parallel trace round dispatch — an injected fault degrades the next
-  /// scan round: every lane's private child buffer is capped at zero (all
-  /// discovered children detour through the mutex-protected shared
-  /// overflow list) and all lanes contend on a single shared cursor,
-  /// forcing maximal steal contention / lane starvation orderings.
-  /// Results stay bit-identical; only scheduling pressure changes.
-  ParallelTrace,
   /// Heap::incrementalScavengeStep entry — the embedder's trace quantum
   /// "fails" before it runs (cancelled slice, preempted helper thread);
   /// the heap recovers by aborting the open cycle, which is always safe.
@@ -75,8 +68,7 @@ enum class FaultSite : unsigned {
   CycleAbort,
   /// Pause-deadline watchdog, consulted once per trace quantum — an
   /// injected fault counts as a deadline violation even when no deadline
-  /// is configured, driving the retry-halving budget backoff and (after K
-  /// consecutive violations) serial-degraded tracing.
+  /// is configured, driving the retry-halving budget backoff.
   WatchdogDeadline,
   /// MutatorContext barrier-buffer flush into the shared remembered set —
   /// the sink's storage "fails" mid-flush, so the buffered entries cannot
@@ -92,11 +84,11 @@ enum class FaultSite : unsigned {
   SafepointHandshake,
 };
 
-inline constexpr unsigned NumFaultSites = 11;
+inline constexpr unsigned NumFaultSites = 10;
 
 /// Stable lowercase identifier for a site ("allocation", "write-barrier",
-/// "remset-insert", "policy-evaluation", "trace-io", "parallel-trace",
-/// "incremental-step", "cycle-abort", "watchdog-deadline", "barrier-sink",
+/// "remset-insert", "policy-evaluation", "trace-io", "incremental-step",
+/// "cycle-abort", "watchdog-deadline", "barrier-sink",
 /// "safepoint-handshake").
 const char *faultSiteName(FaultSite Site);
 

@@ -284,20 +284,3 @@ TEST(BenchCompareTest, TailWallMetricsGateTighter) {
   EXPECT_EQ(row(Result, "wall/runtime/pause_p99_ms").Verdict,
             BenchVerdict::Pass);
 }
-
-TEST(BenchRecordTest, TraceLanesEnvRoundTrips) {
-  BenchRecord Record;
-  Record.Suite = "runtime";
-  Record.HasEnv = true;
-  Record.GitSha = "abc123";
-  Record.BuildFlags = "-O2";
-  Record.Threads = 4;
-  Record.TraceLanes = 8;
-  Record.addExact("runtime/full/pause_p99_traced_bytes", "bytes", 4096.0);
-
-  std::string Json = toJson(Record);
-  BenchRecord Reparsed = parse(Json);
-  EXPECT_EQ(Reparsed.Threads, 4u);
-  EXPECT_EQ(Reparsed.TraceLanes, 8u);
-  EXPECT_EQ(toJson(Reparsed), Json);
-}

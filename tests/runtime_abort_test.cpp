@@ -1,12 +1,12 @@
 //===- tests/runtime_abort_test.cpp ---------------------------------------==//
 //
 // Abortable incremental cycles: an aborted cycle is observably equivalent
-// to one that never started (records, stats, demographics, trace flags),
+// to one that never started (records, stats, demographics, mark bits),
 // aborting re-arms the suspended allocation trigger, Heap::collect()
 // drains an open cycle first, mid-cycle allocation pressure walks the
 // accelerate / complete-now / abort rungs, and the deterministic
-// pause-deadline watchdog backs off the budget (and degrades to serial
-// tracing) without changing a single exported record.
+// pause-deadline watchdog backs off the budget without changing a single
+// exported record.
 //
 //===----------------------------------------------------------------------===//
 
@@ -102,12 +102,12 @@ TEST(AbortTest, AbortedCycleIsEquivalentToNeverStarting) {
     ASSERT_FALSE(H.incrementalScavengeStep());
   H.abortIncrementalScavenge();
 
-  // The abort reclaimed nothing, appended no record, and left no flags.
+  // The abort reclaimed nothing, appended no record, and left no marks.
   EXPECT_FALSE(H.incrementalScavengeActive());
   EXPECT_EQ(H.residentBytes(), ResidentBefore);
   EXPECT_EQ(H.history().size(), 0u);
   for (const Object *O : H.objects())
-    ASSERT_EQ(O->traceFlags(), 0u);
+    ASSERT_FALSE(O->isMarked());
   expectVerifies(H);
 
   // Demographics rolled back: the survivor-table estimates match a heap
@@ -327,40 +327,6 @@ TEST(WatchdogTest, ViolationsBackOffBudgetWithoutChangingRecords) {
   expectVerifies(W);
 }
 
-TEST(WatchdogTest, ConsecutiveViolationsDegradeToSerialTracing) {
-  HeapConfig Config = manualConfig();
-  Config.ScavengeBudgetBytes = 500;
-  Config.QuantumDeadlineMillis =
-      core::MachineModel().pauseMillisForTracedBytes(32);
-  Config.WatchdogMaxConsecutive = 3;
-  Heap H(Config);
-  HandleScope Scope(H);
-  buildWorkload(H, Scope);
-
-  H.beginIncrementalScavenge(0);
-  ASSERT_FALSE(H.incrementalScavengeStep());
-  IncrementalCycleInfo AfterOne = H.incrementalCycleInfo();
-  EXPECT_EQ(AfterOne.WatchdogViolations, 1u);
-  EXPECT_LT(AfterOne.BudgetBytes, 500u); // Halved by the backoff.
-  EXPECT_FALSE(AfterOne.SerialDegraded);
-
-  ASSERT_FALSE(H.incrementalScavengeStep());
-  ASSERT_FALSE(H.incrementalScavengeStep());
-  IncrementalCycleInfo AfterThree = H.incrementalCycleInfo();
-  EXPECT_EQ(AfterThree.WatchdogViolations, 3u);
-  EXPECT_TRUE(AfterThree.SerialDegraded);
-
-  while (!H.incrementalScavengeStep()) {
-  }
-  EXPECT_FALSE(H.incrementalScavengeActive());
-  bool SawSerial = false;
-  for (const DegradationEvent &Event : H.degradationLog())
-    SawSerial |= Event.Kind == DegradationKind::WatchdogDeadline &&
-                 Event.Detail.find("serial") != std::string::npos;
-  EXPECT_TRUE(SawSerial);
-  expectVerifies(H);
-}
-
 TEST(WatchdogTest, GenerousDeadlineNeverFires) {
   HeapConfig Config = manualConfig();
   Config.ScavengeBudgetBytes = 500;
@@ -385,15 +351,14 @@ TEST(WatchdogTest, AbortResetsWatchdogState) {
   H.beginIncrementalScavenge(0);
   for (int Step = 0; Step != 3; ++Step)
     ASSERT_FALSE(H.incrementalScavengeStep());
-  ASSERT_TRUE(H.incrementalCycleInfo().SerialDegraded);
+  ASSERT_EQ(H.incrementalCycleInfo().WatchdogViolations, 3u);
   H.abortIncrementalScavenge();
 
-  // A fresh cycle starts with a clean slate: full budget, no serial
-  // degrade, zero violations.
+  // A fresh cycle starts with a clean slate: full budget, zero
+  // violations.
   H.beginIncrementalScavenge(0);
   IncrementalCycleInfo Fresh = H.incrementalCycleInfo();
   EXPECT_EQ(Fresh.WatchdogViolations, 0u);
-  EXPECT_FALSE(Fresh.SerialDegraded);
   EXPECT_EQ(Fresh.BudgetBytes, 500u);
   while (!H.incrementalScavengeStep()) {
   }

@@ -4,7 +4,7 @@
 // reference run of a deterministic scenario counts how often each of the
 // three mid-cycle fault sites (incremental-step, cycle-abort,
 // watchdog-deadline) is consulted, then the scenario is re-run once per
-// (site, hit index, trace-lane mode) with a one-shot fault armed at
+// (site, hit index) with a one-shot fault armed at
 // exactly that hit. Every injected run must finish the scenario, fire
 // exactly once, and leave a heap that passes the full verifier battery —
 // no quantum index is a bad place to fail.
@@ -35,12 +35,11 @@ namespace {
 /// an injected fault at any point — a step may report completion because
 /// the cycle aborted, pressure may drain or cancel the cycle — so the
 /// same code path runs for the reference and every injected variant.
-void runScenario(unsigned Lanes) {
+void runScenario() {
   HeapConfig Config;
   Config.TriggerBytes = 0;
   Config.QuarantineFreedObjects = true;
   Config.ScavengeBudgetBytes = 2'000;
-  Config.TraceThreads = Lanes;
   Config.HeapLimitBytes = 96 * 1024;
   Heap H(Config);
   HandleScope Scope(H);
@@ -173,35 +172,32 @@ TEST(FaultMatrixTest, EveryQuantumSurvivesEveryFaultSite) {
                              FaultSite::CycleAbort,
                              FaultSite::WatchdogDeadline};
 
-  for (unsigned Lanes : {1u, 4u}) {
-    // Reference run: an installed injector with nothing armed counts how
-    // many times each site is consulted (hits accrue even at probability
-    // zero), defining the matrix for this lane mode.
-    FaultInjector Reference(/*Seed=*/1);
-    {
-      FaultInjectionScope Scope(Reference);
-      runScenario(Lanes);
+  // Reference run: an installed injector with nothing armed counts how
+  // many times each site is consulted (hits accrue even at probability
+  // zero), defining the matrix.
+  FaultInjector Reference(/*Seed=*/1);
+  {
+    FaultInjectionScope Scope(Reference);
+    runScenario();
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+  ASSERT_EQ(Reference.totalInjections(), 0u);
+
+  for (FaultSite Site : Sites) {
+    uint64_t Hits = Reference.hits(Site);
+    ASSERT_GT(Hits, 0u) << faultSiteName(Site)
+                        << ": scenario never reached the site";
+    for (uint64_t Hit = 1; Hit <= Hits; ++Hit) {
+      SCOPED_TRACE(std::string("site=") + faultSiteName(Site) +
+                   " hit=" + std::to_string(Hit));
+      FaultInjector Injector(/*Seed=*/1);
+      Injector.armOneShot(Site, Hit);
+      FaultInjectionScope Scope(Injector);
+      runScenario();
       if (::testing::Test::HasFatalFailure())
         return;
-    }
-    ASSERT_EQ(Reference.totalInjections(), 0u);
-
-    for (FaultSite Site : Sites) {
-      uint64_t Hits = Reference.hits(Site);
-      ASSERT_GT(Hits, 0u) << faultSiteName(Site)
-                          << ": scenario never reached the site";
-      for (uint64_t Hit = 1; Hit <= Hits; ++Hit) {
-        SCOPED_TRACE(std::string("site=") + faultSiteName(Site) +
-                     " hit=" + std::to_string(Hit) +
-                     " lanes=" + std::to_string(Lanes));
-        FaultInjector Injector(/*Seed=*/1);
-        Injector.armOneShot(Site, Hit);
-        FaultInjectionScope Scope(Injector);
-        runScenario(Lanes);
-        if (::testing::Test::HasFatalFailure())
-          return;
-        EXPECT_EQ(Injector.injections(Site), 1u);
-      }
+      EXPECT_EQ(Injector.injections(Site), 1u);
     }
   }
 }

@@ -129,7 +129,6 @@ void runStress(const StressOptions &Options) {
   HeapConfig Config;
   Config.TriggerBytes = 96 * 1024;
   Config.Collector = CollectorKind::MarkSweep;
-  Config.TraceThreads = 2;
   Config.ScavengeBudgetBytes = 8 * 1024;
   Heap H(Config);
   core::PolicyConfig PolicyConfig;
@@ -177,17 +176,25 @@ void runStress(const StressOptions &Options) {
   // One incremental cycle stepped through the concurrent mutation: every
   // quantum stops the world, drains the contexts' grey buffers, and
   // resumes. Workers terminate, so the grey backlog drains eventually.
-  // (The chaos variant skips this: an injected allocation fault walks the
-  // mid-cycle pressure rungs, which may legitimately close the cycle out
-  // from under the stepping thread — that interaction is covered
-  // deterministically by the fault-matrix test.)
+  // In the chaos variant an injected allocation fault in a worker walks
+  // the mid-cycle pressure rungs, which may legitimately close the cycle
+  // between two quanta; the open-cycle check and the step therefore share
+  // one stop of the world.
   size_t ScavengesBefore = 0;
   if (Options.DriveIncrementalCycle) {
     H.runAtSafepoint([&](Heap &Stopped) {
       ScavengesBefore = Stopped.history().records().size();
     });
     H.beginIncrementalScavenge(H.now() / 2);
-    while (!H.incrementalScavengeStep())
+    auto stepOpenCycle = [&] {
+      bool Closed = false;
+      H.runAtSafepoint([&](Heap &Stopped) {
+        Closed = !Stopped.incrementalScavengeActive() ||
+                 Stopped.incrementalScavengeStep();
+      });
+      return Closed;
+    };
+    while (!stepOpenCycle())
       verifyBattery("between incremental quanta");
     verifyBattery("after incremental cycle");
   }

@@ -175,7 +175,6 @@ TEST(FaultSiteTest, NamesAreStableAndDistinct) {
   EXPECT_STREQ(faultSiteName(FaultSite::PolicyEvaluation),
                "policy-evaluation");
   EXPECT_STREQ(faultSiteName(FaultSite::TraceIO), "trace-io");
-  EXPECT_STREQ(faultSiteName(FaultSite::ParallelTrace), "parallel-trace");
   EXPECT_STREQ(faultSiteName(FaultSite::IncrementalStep),
                "incremental-step");
   EXPECT_STREQ(faultSiteName(FaultSite::CycleAbort), "cycle-abort");

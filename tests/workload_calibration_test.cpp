@@ -48,6 +48,12 @@ constexpr Band Bands[] = {
     {"sis", 0.12, 0.12},      {"cfrac", 0.5, 0.5},
 };
 
+/// Prints a band as its workload name. Without this gtest prints the raw
+/// bytes of the struct, Name's address included, so the listed test names
+/// (and the ctest names discovered from them) changed with every run of
+/// the binary under address-space randomisation.
+void PrintTo(const Band &B, std::ostream *OS) { *OS << '"' << B.Name << '"'; }
+
 class CalibrationTest : public testing::TestWithParam<Band> {};
 
 } // namespace
