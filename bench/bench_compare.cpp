@@ -3,9 +3,9 @@
 // Part of the dtbgc project (Barrett & Zorn DTB reproduction).
 //
 // Diffs two BENCH_*.json records (baseline vs. candidate) and exits
-// nonzero when the candidate regresses: exact metrics gate on equality,
-// wall metrics on a MAD-derived noise threshold. Wired into CI against
-// tests/data/bench/baseline.json so perf regressions fail the build.
+// nonzero when the candidate regresses: every metric is exact and gates
+// on equality. Wired into CI against tests/data/bench/baseline.json so
+// perf regressions fail the build.
 //
 // Exit codes: 0 clean, 1 regression/missing metric, 2 schema mismatch or
 // unreadable input.
@@ -56,18 +56,8 @@ int main(int Argc, char **Argv) {
 
   OptionParser Parser(
       "Compares two BENCH_*.json records (baseline candidate) and exits "
-      "nonzero on regressions: exact metrics gate on equality, wall "
-      "metrics on max(rel-threshold * |baseline|, mad-multiplier * MAD)");
-  Parser.addDouble("rel-threshold",
-                   "Relative component of the wall noise threshold",
-                   &Options.RelThreshold);
-  Parser.addDouble("tail-threshold",
-                   "Relative component applied to tail metrics (pause "
-                   "quantiles, per-quantum maxima) instead of rel-threshold",
-                   &Options.TailRelThreshold);
-  Parser.addDouble("mad-multiplier",
-                   "MAD multiple component of the wall noise threshold",
-                   &Options.MadMultiplier);
+      "nonzero on regressions: every metric is exact and gates on "
+      "equality");
   Parser.addFlag("allow-missing",
                  "Do not fail when a baseline metric is absent from the "
                  "candidate",

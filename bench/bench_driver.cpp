@@ -2,16 +2,14 @@
 //
 // Part of the dtbgc project (Barrett & Zorn DTB reproduction).
 //
-// One driver for every perf measurement in the repo. Runs a declared suite
-// (quick / paper / runtime / timing / server) with warmup and repeated wall
-// measurements, and emits a schema-versioned BENCH_<suite>.json record
-// carrying git SHA, build flags, thread count, every deterministic metric,
-// and the per-phase cost attribution from the scoped phase profiler.
-// bench_compare diffs two of these records and gates CI.
+// Runs a declared suite (quick / paper / runtime / server) and emits a
+// schema-versioned BENCH_<suite>.json record carrying every deterministic
+// metric and the per-phase cost attribution from the scoped phase
+// profiler. bench_compare diffs two of these records and gates CI.
 //
-// The deterministic portion of the record (everything outside "wall/") is
-// bit-identical for any --threads value; --no-wall --no-env produces a
-// fully reproducible document suitable for checked-in baselines.
+// The record is bit-identical for any --threads value, so it is suitable
+// for checked-in baselines. Wall-clock measurements live in perfbench and
+// bench/runtime_micro, not here.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,13 +25,9 @@ using namespace dtb;
 int main(int Argc, char **Argv) {
   std::string Suite = "quick";
   std::string Out;
-  uint64_t Repeats = 3;
-  uint64_t Warmup = 1;
   uint64_t Threads = 0;
   uint64_t TopN = 16;
   bool Quick = false;
-  bool NoWall = false;
-  bool NoEnv = false;
   bool NoSummary = false;
 
   std::string SuiteHelp = "Suite to run (";
@@ -43,21 +37,12 @@ int main(int Argc, char **Argv) {
 
   OptionParser Parser(
       "Runs a benchmark suite and writes a BENCH_<suite>.json record "
-      "(exact metrics, wall min/median/MAD, per-phase cost attribution)");
+      "(exact metrics, per-phase cost attribution)");
   Parser.addString("suite", SuiteHelp, &Suite);
   Parser.addFlag("quick", "Shorthand for --suite quick", &Quick);
   Parser.addString("out",
                    "Output path ('-' for stdout; default BENCH_<suite>.json)",
                    &Out);
-  Parser.addUInt("repeats", "Timed repeats per wall measurement", &Repeats);
-  Parser.addUInt("warmup", "Discarded warmup runs per wall measurement",
-                 &Warmup);
-  Parser.addFlag("no-wall",
-                 "Skip wall-clock measurements (fully deterministic record)",
-                 &NoWall);
-  Parser.addFlag("no-env",
-                 "Omit the env block (git SHA, build flags, threads)",
-                 &NoEnv);
   Parser.addUInt("top", "Phases shown in the cost-attribution summary",
                  &TopN);
   Parser.addFlag("no-summary", "Skip the cost-attribution summary", &NoSummary);
@@ -71,10 +56,6 @@ int main(int Argc, char **Argv) {
   report::BenchDriverOptions Options;
   Options.Suite = Suite;
   Options.Threads = static_cast<unsigned>(Threads);
-  Options.Repeats = static_cast<unsigned>(Repeats);
-  Options.Warmup = static_cast<unsigned>(Warmup);
-  Options.IncludeWall = !NoWall;
-  Options.IncludeEnv = !NoEnv;
 
   report::BenchSuiteResult Result = report::runBenchSuite(Options);
   std::string Json = report::toJson(Result.Record);

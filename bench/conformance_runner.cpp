@@ -29,7 +29,6 @@
 #include "workload/Workload.h"
 
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -294,21 +293,22 @@ int main(int Argc, char **Argv) {
               LinkModes.size(), Collectors.size(),
               static_cast<unsigned long long>(TriggerBytes));
 
+  // Cases deposit into preassigned slots and print in case order after the
+  // join, so the output is byte-identical for every thread count.
   std::vector<CaseOutcome> Outcomes(Cases.size());
-  std::mutex PrintMutex;
-  parallelFor(Cases.size(), [&](size_t I) {
-    Outcomes[I] = runCase(Cases[I], ArtifactsDir);
-    std::lock_guard<std::mutex> Lock(PrintMutex);
-    std::printf("  %-28s %s (%zu scavenges)\n", caseLabel(Cases[I]).c_str(),
-                Outcomes[I].Agreed ? "agree  " : "DIVERGE",
-                Outcomes[I].Scavenges);
-    if (!Outcomes[I].Agreed)
-      std::printf("%s", Outcomes[I].Detail.c_str());
-  });
+  parallelFor(Cases.size(),
+              [&](size_t I) { Outcomes[I] = runCase(Cases[I], ArtifactsDir); });
 
   size_t Divergent = 0;
-  for (const CaseOutcome &O : Outcomes)
-    Divergent += O.Agreed ? 0 : 1;
+  for (size_t I = 0; I != Cases.size(); ++I) {
+    const CaseOutcome &O = Outcomes[I];
+    std::printf("  %-28s %s (%zu scavenges)\n", caseLabel(Cases[I]).c_str(),
+                O.Agreed ? "agree  " : "DIVERGE", O.Scavenges);
+    if (!O.Agreed) {
+      std::printf("%s", O.Detail.c_str());
+      ++Divergent;
+    }
+  }
 
   bool SelfTestOk = true;
   if (Quick || InjectMutation)

@@ -6,16 +6,22 @@
 // allocation, the write barrier (backward stores, forward stores, and
 // duplicate forward stores), remembered-set maintenance, and scavenges as
 // a function of boundary position — the real-machine counterpart of the
-// paper's "pause times are proportional to storage traced" assumption.
+// paper's "pause times are proportional to storage traced" assumption —
+// plus the serial trace of a wide survivor graph and the simulator's
+// indexed-vs-scan heap-model queries.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Heap.h"
 #include "runtime/Mutator.h"
 
+#include "core/OptimalPolicies.h"
 #include "core/Policies.h"
+#include "sim/Simulator.h"
 #include "support/Random.h"
 #include "telemetry/Telemetry.h"
+#include "trace/TraceStats.h"
+#include "workload/Workload.h"
 
 #include <benchmark/benchmark.h>
 
@@ -283,6 +289,80 @@ void BM_ScavengeByBoundary(benchmark::State &State) {
 }
 BENCHMARK(BM_ScavengeByBoundary)->Arg(10)->Arg(25)->Arg(50)->Arg(100);
 BENCHMARK(BM_ScavengeStrategy)->Arg(0)->Arg(1);
+
+void BM_TraceWideGraph(benchmark::State &State) {
+  // Full-heap scavenges of one wide, all-live graph: 2048 handle-rooted
+  // chains of 128 nodes, so every BFS level of the trace carries ~2048
+  // gray objects. Nothing dies, so each iteration traces the same graph.
+  constexpr size_t Chains = 2'048;
+  constexpr size_t Depth = 128;
+  Heap H(manualConfig());
+  HandleScope Scope(H);
+  for (size_t C = 0; C != Chains; ++C) {
+    Object *&Head = Scope.slot(nullptr);
+    for (size_t D = 0; D != Depth; ++D) {
+      Object *Node = H.allocate(1, 64);
+      H.writeSlot(Node, 0, Head);
+      Head = Node;
+    }
+  }
+  for (auto _ : State)
+    benchmark::DoNotOptimize(H.collectAtBoundary(0));
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Chains * Depth));
+}
+BENCHMARK(BM_TraceWideGraph)->Unit(benchmark::kMillisecond);
+
+/// ESPRESSO(2), the largest paper workload, under the oracle memory-first
+/// boundary search with a budget just above its mean live size, so the
+/// binary search over the heap model's demographics runs at every
+/// scavenge. Generated once and shared by both query modes.
+struct HeapQueryInput {
+  trace::Trace T;
+  uint64_t MemBudget = 0;
+  double ProgramSeconds = 0.0;
+  sim::SimulationResult Indexed; // The reference run.
+
+  static const HeapQueryInput &get() {
+    static const HeapQueryInput Input = [] {
+      const workload::WorkloadSpec &Spec =
+          *workload::findWorkload("espresso2");
+      HeapQueryInput I;
+      I.T = workload::generateTrace(Spec);
+      I.MemBudget = static_cast<uint64_t>(
+          trace::computeTraceStats(I.T).LiveMeanBytes * 1.2);
+      I.ProgramSeconds = Spec.ProgramSeconds;
+      I.Indexed = I.simulate(/*Naive=*/false);
+      return I;
+    }();
+    return Input;
+  }
+
+  sim::SimulationResult simulate(bool Naive) const {
+    core::OptimalMemoryPolicy MemFirst(MemBudget);
+    sim::SimulatorConfig Config;
+    Config.ProgramSeconds = ProgramSeconds;
+    Config.UseNaiveHeapQueries = Naive;
+    return sim::simulate(T, MemFirst, Config);
+  }
+};
+
+void BM_SimHeapQueries(benchmark::State &State) {
+  // Arg(0) answers the heap model's demographics queries from its
+  // incremental indexes, Arg(1) with the naive O(residents) scans. The two
+  // must agree on every scavenge; the ratio is the indexes' payoff.
+  const HeapQueryInput &Input = HeapQueryInput::get();
+  const bool Naive = State.range(0) != 0;
+  sim::SimulationResult R;
+  for (auto _ : State)
+    R = Input.simulate(Naive);
+  if (R.TotalTracedBytes != Input.Indexed.TotalTracedBytes ||
+      R.NumScavenges != Input.Indexed.NumScavenges)
+    State.SkipWithError("indexed and scan heap-query runs disagree");
+  State.counters["scavenges"] = static_cast<double>(R.NumScavenges);
+  State.SetLabel(Naive ? "scan" : "indexed");
+}
+BENCHMARK(BM_SimHeapQueries)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_RepeatedScavengeSteadyState(benchmark::State &State) {
   // A steady mutator with an installed policy: measures the whole

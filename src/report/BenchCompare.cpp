@@ -4,7 +4,6 @@
 
 #include "telemetry/Export.h"
 
-#include <cmath>
 #include <cstdio>
 
 using namespace dtb;
@@ -60,11 +59,6 @@ void count(BenchCompareResult &Result, const BenchMetricComparison &Row) {
 
 } // namespace
 
-bool dtb::report::isTailMetric(const std::string &Name) {
-  return Name.find("_p99") != std::string::npos ||
-         Name.find("max_quantum") != std::string::npos;
-}
-
 BenchCompareResult
 dtb::report::compareBenchRecords(const BenchRecord &Baseline,
                                  const BenchRecord &Candidate,
@@ -83,20 +77,14 @@ dtb::report::compareBenchRecords(const BenchRecord &Baseline,
   for (const BenchMetric &Base : Baseline.Metrics) {
     BenchMetricComparison Row;
     Row.Name = Base.Name;
-    Row.Exact = Base.Exact;
-    Row.Baseline = Base.Exact ? Base.Value : Base.Median;
+    Row.Baseline = Base.Value;
 
     const BenchMetric *Cand = Candidate.findMetric(Base.Name);
     if (!Cand) {
       Row.Verdict = BenchVerdict::Missing;
       Row.Note = "metric absent from candidate";
       Result.Failed |= Options.FailOnMissing;
-    } else if (Cand->Exact != Base.Exact) {
-      Row.Candidate = Cand->Exact ? Cand->Value : Cand->Median;
-      Row.Verdict = BenchVerdict::Regressed;
-      Row.Note = "metric kind changed (exact vs wall)";
-      Result.Failed = true;
-    } else if (Base.Exact) {
+    } else {
       Row.Candidate = Cand->Value;
       Row.DeltaPercent = deltaPercent(Base.Value, Cand->Value);
       if (Cand->Value == Base.Value) {
@@ -108,23 +96,6 @@ dtb::report::compareBenchRecords(const BenchRecord &Baseline,
         Row.Verdict = BenchVerdict::Improved;
         Row.Note = "deterministic change: refresh the baseline";
       }
-    } else {
-      Row.Candidate = Cand->Median;
-      Row.DeltaPercent = deltaPercent(Base.Median, Cand->Median);
-      double Rel = isTailMetric(Base.Name) ? Options.TailRelThreshold
-                                           : Options.RelThreshold;
-      Row.Threshold =
-          std::max(Rel * std::fabs(Base.Median),
-                   Options.MadMultiplier * std::max(Base.Mad, Cand->Mad));
-      double Delta = Cand->Median - Base.Median;
-      if (std::fabs(Delta) <= Row.Threshold) {
-        Row.Verdict = BenchVerdict::Pass;
-      } else if (isWorse(Base, Base.Median, Cand->Median)) {
-        Row.Verdict = BenchVerdict::Regressed;
-        Result.Failed = true;
-      } else {
-        Row.Verdict = BenchVerdict::Improved;
-      }
     }
     count(Result, Row);
     Result.Rows.push_back(std::move(Row));
@@ -135,8 +106,7 @@ dtb::report::compareBenchRecords(const BenchRecord &Baseline,
       continue;
     BenchMetricComparison Row;
     Row.Name = Cand.Name;
-    Row.Exact = Cand.Exact;
-    Row.Candidate = Cand.Exact ? Cand.Value : Cand.Median;
+    Row.Candidate = Cand.Value;
     Row.Verdict = BenchVerdict::New;
     Row.Note = "not in baseline";
     count(Result, Row);
@@ -146,18 +116,16 @@ dtb::report::compareBenchRecords(const BenchRecord &Baseline,
 }
 
 Table dtb::report::buildComparisonTable(const BenchCompareResult &Result) {
-  Table T({"Metric", "Kind", "Baseline", "Candidate", "Delta %", "Threshold",
-           "Verdict", "Note"});
+  Table T({"Metric", "Baseline", "Candidate", "Delta %", "Verdict", "Note"});
   T.setAlignment(0, AlignKind::Left);
-  T.setAlignment(7, AlignKind::Left);
+  T.setAlignment(5, AlignKind::Left);
   auto Num = [](double V) { return telemetry::arg("", V).Value; };
   for (const BenchMetricComparison &Row : Result.Rows) {
-    T.addRow({Row.Name, Row.Exact ? "exact" : "wall",
+    T.addRow({Row.Name,
               Row.Verdict == BenchVerdict::New ? "-" : Num(Row.Baseline),
               Row.Verdict == BenchVerdict::Missing ? "-" : Num(Row.Candidate),
-              Table::cell(Row.DeltaPercent, 2),
-              Row.Exact ? "-" : Num(Row.Threshold),
-              benchVerdictName(Row.Verdict), Row.Note});
+              Table::cell(Row.DeltaPercent, 2), benchVerdictName(Row.Verdict),
+              Row.Note});
   }
   return T;
 }

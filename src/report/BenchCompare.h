@@ -9,13 +9,9 @@
 /// decides pass/fail, so perf regressions gate CI instead of vanishing
 /// silently:
 ///
-///  * exact metrics are deterministic — any change is real. Changes in the
+///  * every metric is deterministic — any change is real. Changes in the
 ///    worse direction (per LowerIsBetter) are regressions; improvements
 ///    pass but stay visible so the baseline gets refreshed.
-///  * wall metrics are noisy — the candidate's median must move beyond a
-///    noise threshold of max(RelThreshold * |baseline median|,
-///    MadMultiplier * max(baseline MAD, candidate MAD)) before it counts,
-///    in either direction.
 ///  * a metric present in the baseline but not the candidate is Missing
 ///    (fails by default: a silently dropped measurement is how coverage
 ///    rots); candidate-only metrics are New and pass.
@@ -43,35 +39,18 @@ enum class BenchVerdict { Pass, Improved, Regressed, Missing, New };
 const char *benchVerdictName(BenchVerdict Verdict);
 
 struct BenchCompareOptions {
-  /// Relative component of the wall noise threshold.
-  double RelThreshold = 0.10;
-  /// Relative component applied to *tail* metrics instead of RelThreshold:
-  /// pause quantiles (names containing "_p99") and per-quantum maxima
-  /// ("max_quantum"). Tail regressions are what incremental scavenging
-  /// exists to bound, so they gate tighter than throughput metrics.
-  double TailRelThreshold = 0.05;
-  /// MAD multiple component of the wall noise threshold (~3 MADs covers
-  /// normal-ish jitter past the 99.7% band).
-  double MadMultiplier = 3.0;
   /// Whether baseline metrics absent from the candidate fail the compare.
   bool FailOnMissing = true;
 };
-
-/// True for metrics gated with TailRelThreshold: pause-quantile and
-/// max-per-quantum names ("_p99" also matches "_p999").
-bool isTailMetric(const std::string &Name);
 
 /// One metric's comparison row.
 struct BenchMetricComparison {
   std::string Name;
   BenchVerdict Verdict = BenchVerdict::Pass;
-  bool Exact = true;
-  double Baseline = 0.0;  // Exact value or wall median.
-  double Candidate = 0.0; // Exact value or wall median.
+  double Baseline = 0.0;
+  double Candidate = 0.0;
   /// Signed change in percent of the baseline (0 when baseline is 0).
   double DeltaPercent = 0.0;
-  /// Absolute noise threshold applied (wall metrics only).
-  double Threshold = 0.0;
   std::string Note;
 };
 
@@ -97,7 +76,7 @@ BenchCompareResult compareBenchRecords(const BenchRecord &Baseline,
                                        const BenchCompareOptions &Options);
 
 /// The comparison rendered as a table: metric, baseline, candidate, delta
-/// percent, threshold, verdict.
+/// percent, verdict, note.
 Table buildComparisonTable(const BenchCompareResult &Result);
 
 } // namespace report

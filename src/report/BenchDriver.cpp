@@ -2,7 +2,6 @@
 
 #include "report/BenchDriver.h"
 
-#include "core/OptimalPolicies.h"
 #include "core/Policies.h"
 #include "report/Experiments.h"
 #include "report/GhostMutator.h"
@@ -17,73 +16,12 @@
 #include "workload/Workload.h"
 
 #include <array>
-#include <chrono>
-#include <cstdio>
-#include <functional>
 #include <memory>
 
 using namespace dtb;
 using namespace dtb::report;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Environment identity
-//===----------------------------------------------------------------------===//
-
-/// First line of a shell command's stdout, trimmed; empty on failure.
-std::string captureLine(const char *Command) {
-  std::string Out;
-  if (std::FILE *P = ::popen(Command, "r")) {
-    char Buffer[256];
-    while (size_t N = std::fread(Buffer, 1, sizeof Buffer, P))
-      Out.append(Buffer, N);
-    ::pclose(P);
-  }
-  if (size_t Eol = Out.find('\n'); Eol != std::string::npos)
-    Out.resize(Eol);
-  return Out;
-}
-
-std::string buildFlagsString() {
-  std::string Flags;
-#if DTB_TELEMETRY
-  Flags += "telemetry=on";
-#else
-  Flags += "telemetry=off";
-#endif
-#ifdef NDEBUG
-  Flags += ";ndebug";
-#endif
-#ifdef __VERSION__
-  Flags += ";compiler=" __VERSION__;
-#endif
-  return Flags;
-}
-
-//===----------------------------------------------------------------------===//
-// Wall measurement
-//===----------------------------------------------------------------------===//
-
-double timeSeconds(const std::function<void()> &Fn) {
-  auto Start = std::chrono::steady_clock::now();
-  Fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
-
-/// Warmup runs discarded, then one sample per timed repeat.
-std::vector<double> measureWall(const BenchDriverOptions &Options,
-                                const std::function<void()> &Fn) {
-  for (unsigned I = 0; I != Options.Warmup; ++I)
-    Fn();
-  std::vector<double> Samples;
-  unsigned Repeats = Options.Repeats ? Options.Repeats : 1;
-  for (unsigned I = 0; I != Repeats; ++I)
-    Samples.push_back(timeSeconds(Fn));
-  return Samples;
-}
 
 //===----------------------------------------------------------------------===//
 // Deterministic stages
@@ -181,9 +119,9 @@ void runSimGridStage(const std::vector<workload::WorkloadSpec> &Workloads,
 /// minus the trace's oracle live bytes at that clock, i.e. the floating
 /// garbage the policy allowed to accumulate. Each scenario runs under its
 /// own suggested trigger/constraint set (the scenarios differ in live
-/// level by design). Pass null \p Record / \p Merged for a pure wall pass.
-void runServerGridStage(unsigned Threads, BenchRecord *Record,
-                        profiling::PhaseProfiler *Merged) {
+/// level by design).
+void runServerGridStage(unsigned Threads, BenchRecord &Record,
+                        profiling::PhaseProfiler &Merged) {
   const std::vector<serverload::ServerScenario> &Scenarios =
       serverload::serverScenarios();
   const std::vector<std::string> &Policies = core::paperPolicyNames();
@@ -215,10 +153,8 @@ void runServerGridStage(unsigned Threads, BenchRecord *Record,
         sim::SimulatorConfig SimConfig;
         SimConfig.TriggerBytes = Scenario.TriggerBytes;
         SimConfig.ProgramSeconds = Scenario.ProgramSeconds;
-        if (Merged) {
-          Cells[I].Profile.setEnabled(true);
-          SimConfig.Profiler = &Cells[I].Profile;
-        }
+        Cells[I].Profile.setEnabled(true);
+        SimConfig.Profiler = &Cells[I].Profile;
         std::unique_ptr<core::BoundaryPolicy> Policy =
             core::createPolicy(Policies[P], PolicyConfig);
         Cells[I].Result = sim::simulate(Traces[S], *Policy, SimConfig);
@@ -238,33 +174,30 @@ void runServerGridStage(unsigned Threads, BenchRecord *Record,
       },
       Pool.pool());
 
-  if (!Record)
-    return;
   for (size_t I = 0; I != Cells.size(); ++I) {
     size_t S = I / Policies.size();
     size_t P = I % Policies.size();
     const sim::SimulationResult &R = Cells[I].Result;
     std::string Prefix =
         "server/" + Scenarios[S].Name + "/" + Policies[P] + "/";
-    Record->addExact(Prefix + "pause_p50_ms", "ms", R.PauseMillis.median());
-    Record->addExact(Prefix + "pause_p99_ms", "ms",
-                     R.PauseMillis.quantile(0.99));
-    Record->addExact(Prefix + "pause_p999_ms", "ms",
-                     R.PauseMillis.quantile(0.999));
-    Record->addExact(Prefix + "mem_overshoot_p50_bytes", "bytes",
-                     Cells[I].OvershootBytes.median());
-    Record->addExact(Prefix + "mem_overshoot_p99_bytes", "bytes",
-                     Cells[I].OvershootBytes.quantile(0.99));
-    Record->addExact(Prefix + "mem_overshoot_p999_bytes", "bytes",
-                     Cells[I].OvershootBytes.quantile(0.999));
-    Record->addExact(Prefix + "mem_max_bytes", "bytes",
-                     static_cast<double>(R.MemMaxBytes));
-    Record->addExact(Prefix + "traced_bytes", "bytes",
-                     static_cast<double>(R.TotalTracedBytes));
-    Record->addExact(Prefix + "num_scavenges", "count",
-                     static_cast<double>(R.NumScavenges));
-    if (Merged)
-      Merged->mergeFrom(Cells[I].Profile);
+    Record.addExact(Prefix + "pause_p50_ms", "ms", R.PauseMillis.median());
+    Record.addExact(Prefix + "pause_p99_ms", "ms",
+                    R.PauseMillis.quantile(0.99));
+    Record.addExact(Prefix + "pause_p999_ms", "ms",
+                    R.PauseMillis.quantile(0.999));
+    Record.addExact(Prefix + "mem_overshoot_p50_bytes", "bytes",
+                    Cells[I].OvershootBytes.median());
+    Record.addExact(Prefix + "mem_overshoot_p99_bytes", "bytes",
+                    Cells[I].OvershootBytes.quantile(0.99));
+    Record.addExact(Prefix + "mem_overshoot_p999_bytes", "bytes",
+                    Cells[I].OvershootBytes.quantile(0.999));
+    Record.addExact(Prefix + "mem_max_bytes", "bytes",
+                    static_cast<double>(R.MemMaxBytes));
+    Record.addExact(Prefix + "traced_bytes", "bytes",
+                    static_cast<double>(R.TotalTracedBytes));
+    Record.addExact(Prefix + "num_scavenges", "count",
+                    static_cast<double>(R.NumScavenges));
+    Merged.mergeFrom(Cells[I].Profile);
   }
 }
 
@@ -281,18 +214,17 @@ constexpr RuntimeScale QuickRuntime = {400'000, 20'000, 5'000, 60'000};
 constexpr RuntimeScale FullRuntime = {5'000'000, 100'000, 12'000, 300'000};
 
 /// One GhostMutator run per policy on the real runtime; serial, so the
-/// record and profile are deterministic by construction. \p Profiled
-/// controls whether heap profilers record (off for pure wall repeats).
+/// record and profile are deterministic by construction.
 ///
-/// When \p Record is set, every policy also runs a second, budget-sliced
-/// pass (ScavengeBudgetBytes = Scale.TraceMaxBytes) whose exported
-/// scavenge stream must match the monolithic run bit for bit — the driver
-/// fatals otherwise, so any determinism breach in the budgeted trace
-/// fails the bench rather than shifting numbers silently. The budgeted
+/// Every policy also runs a second, budget-sliced pass
+/// (ScavengeBudgetBytes = Scale.TraceMaxBytes) whose exported scavenge
+/// stream must match the monolithic run bit for bit — the driver fatals
+/// otherwise, so any determinism breach in the budgeted trace fails the
+/// bench rather than shifting numbers silently. The budgeted
 /// pass contributes the trace_quanta / max_quantum_traced_bytes metrics
 /// from one final full-heap collection, bound-checked against the budget.
-void runRuntimePolicies(const RuntimeScale &Scale, BenchRecord *Record,
-                        profiling::PhaseProfiler *Merged) {
+void runRuntimePolicies(const RuntimeScale &Scale, BenchRecord &Record,
+                        profiling::PhaseProfiler &Merged) {
   core::PolicyConfig PolicyConfig;
   PolicyConfig.TraceMaxBytes = Scale.TraceMaxBytes;
   PolicyConfig.MemMaxBytes = Scale.MemMaxBytes;
@@ -315,96 +247,90 @@ void runRuntimePolicies(const RuntimeScale &Scale, BenchRecord *Record,
     Config.TriggerBytes = Scale.TriggerBytes;
     runtime::Heap H(Config);
     H.setPolicy(core::createPolicy(Name, PolicyConfig));
-    if (Merged)
-      H.profiler().setEnabled(true);
+    H.profiler().setEnabled(true);
 
     runtime::HandleScope Scope(H);
     GhostMutator Mutator(H, Scope, /*Seed=*/0x61057);
     Mutator.run(Scale.TotalBytes);
 
-    if (Record) {
-      RunningStats MemBefore;
-      SampleSet PauseBytes;
-      uint64_t Traced = 0;
-      for (const core::ScavengeRecord &R : H.history().records()) {
-        MemBefore.add(static_cast<double>(R.MemBeforeBytes));
-        PauseBytes.add(static_cast<double>(R.TracedBytes));
-        Traced += R.TracedBytes;
-      }
-      std::string Prefix = "runtime/" + Name + "/";
-      Record->addExact(Prefix + "num_collections", "count",
-                       static_cast<double>(H.history().size()));
-      Record->addExact(Prefix + "mem_before_mean_bytes", "bytes",
-                       MemBefore.mean());
-      Record->addExact(Prefix + "mem_before_max_bytes", "bytes",
-                       MemBefore.max());
-      Record->addExact(Prefix + "traced_bytes", "bytes",
-                       static_cast<double>(Traced));
-      Record->addExact(Prefix + "pause_p50_traced_bytes", "bytes",
-                       PauseBytes.median());
-      Record->addExact(Prefix + "pause_p99_traced_bytes", "bytes",
-                       PauseBytes.quantile(0.99));
-      Record->addExact(Prefix + "pause_p999_traced_bytes", "bytes",
-                       PauseBytes.quantile(0.999));
-
-      // Budget-sliced re-run: same mutator, trace cut into
-      // ScavengeBudgetBytes quanta.
-      runtime::HeapConfig BudgetConfig;
-      BudgetConfig.TriggerBytes = Scale.TriggerBytes;
-      BudgetConfig.ScavengeBudgetBytes = Scale.TraceMaxBytes;
-      runtime::Heap B(BudgetConfig);
-      B.setPolicy(core::createPolicy(Name, PolicyConfig));
-      runtime::HandleScope BudgetScope(B);
-      GhostMutator BudgetMutator(B, BudgetScope, /*Seed=*/0x61057);
-      BudgetMutator.run(Scale.TotalBytes);
-
-      if (B.history().size() != H.history().size())
-        fatalError("budgeted runtime pass diverges: " +
-                   std::to_string(B.history().size()) + " vs " +
-                   std::to_string(H.history().size()) + " scavenges (" +
-                   Name + ")");
-      for (uint64_t I = 1; I <= H.history().size(); ++I) {
-        const core::ScavengeRecord &A = H.history().record(I);
-        const core::ScavengeRecord &C = B.history().record(I);
-        if (A.Time != C.Time || A.Boundary != C.Boundary ||
-            A.TracedBytes != C.TracedBytes ||
-            A.MemBeforeBytes != C.MemBeforeBytes ||
-            A.SurvivedBytes != C.SurvivedBytes ||
-            A.ReclaimedBytes != C.ReclaimedBytes)
-          fatalError("budgeted runtime pass diverges from the monolithic "
-                     "trace at scavenge " + std::to_string(I) + " (" + Name +
-                     ")");
-      }
-
-      // One final full-heap collection under the budget gives the
-      // per-quantum pause bound the incremental trace guarantees: no
-      // quantum may overshoot the budget by more than one object.
-      B.collectAtBoundary(0);
-      const runtime::CollectionStats &S = B.lastCollectionStats();
-      if (S.MaxQuantumTracedBytes >
-          Scale.TraceMaxBytes + GhostMutator::MaxObjectGrossBytes)
-        fatalError("trace quantum overshot the budget by more than one "
-                   "object (" + Name + ")");
-      Record->addExact(Prefix + "trace_quanta", "count",
-                       static_cast<double>(S.TraceQuanta));
-      Record->addExact(Prefix + "max_quantum_traced_bytes", "bytes",
-                       static_cast<double>(S.MaxQuantumTracedBytes));
-      AccumulateDegradation(B);
+    RunningStats MemBefore;
+    SampleSet PauseBytes;
+    uint64_t Traced = 0;
+    for (const core::ScavengeRecord &R : H.history().records()) {
+      MemBefore.add(static_cast<double>(R.MemBeforeBytes));
+      PauseBytes.add(static_cast<double>(R.TracedBytes));
+      Traced += R.TracedBytes;
     }
+    std::string Prefix = "runtime/" + Name + "/";
+    Record.addExact(Prefix + "num_collections", "count",
+                    static_cast<double>(H.history().size()));
+    Record.addExact(Prefix + "mem_before_mean_bytes", "bytes",
+                    MemBefore.mean());
+    Record.addExact(Prefix + "mem_before_max_bytes", "bytes",
+                    MemBefore.max());
+    Record.addExact(Prefix + "traced_bytes", "bytes",
+                    static_cast<double>(Traced));
+    Record.addExact(Prefix + "pause_p50_traced_bytes", "bytes",
+                    PauseBytes.median());
+    Record.addExact(Prefix + "pause_p99_traced_bytes", "bytes",
+                    PauseBytes.quantile(0.99));
+    Record.addExact(Prefix + "pause_p999_traced_bytes", "bytes",
+                    PauseBytes.quantile(0.999));
+
+    // Budget-sliced re-run: same mutator, trace cut into
+    // ScavengeBudgetBytes quanta.
+    runtime::HeapConfig BudgetConfig;
+    BudgetConfig.TriggerBytes = Scale.TriggerBytes;
+    BudgetConfig.ScavengeBudgetBytes = Scale.TraceMaxBytes;
+    runtime::Heap B(BudgetConfig);
+    B.setPolicy(core::createPolicy(Name, PolicyConfig));
+    runtime::HandleScope BudgetScope(B);
+    GhostMutator BudgetMutator(B, BudgetScope, /*Seed=*/0x61057);
+    BudgetMutator.run(Scale.TotalBytes);
+
+    if (B.history().size() != H.history().size())
+      fatalError("budgeted runtime pass diverges: " +
+                 std::to_string(B.history().size()) + " vs " +
+                 std::to_string(H.history().size()) + " scavenges (" +
+                 Name + ")");
+    for (uint64_t I = 1; I <= H.history().size(); ++I) {
+      const core::ScavengeRecord &A = H.history().record(I);
+      const core::ScavengeRecord &C = B.history().record(I);
+      if (A.Time != C.Time || A.Boundary != C.Boundary ||
+          A.TracedBytes != C.TracedBytes ||
+          A.MemBeforeBytes != C.MemBeforeBytes ||
+          A.SurvivedBytes != C.SurvivedBytes ||
+          A.ReclaimedBytes != C.ReclaimedBytes)
+        fatalError("budgeted runtime pass diverges from the monolithic "
+                   "trace at scavenge " + std::to_string(I) + " (" + Name +
+                   ")");
+    }
+
+    // One final full-heap collection under the budget gives the
+    // per-quantum pause bound the incremental trace guarantees: no
+    // quantum may overshoot the budget by more than one object.
+    B.collectAtBoundary(0);
+    const runtime::CollectionStats &S = B.lastCollectionStats();
+    if (S.MaxQuantumTracedBytes >
+        Scale.TraceMaxBytes + GhostMutator::MaxObjectGrossBytes)
+      fatalError("trace quantum overshot the budget by more than one "
+                 "object (" + Name + ")");
+    Record.addExact(Prefix + "trace_quanta", "count",
+                    static_cast<double>(S.TraceQuanta));
+    Record.addExact(Prefix + "max_quantum_traced_bytes", "bytes",
+                    static_cast<double>(S.MaxQuantumTracedBytes));
+    AccumulateDegradation(B);
     AccumulateDegradation(H);
-    if (Merged)
-      Merged->mergeFrom(H.profiler());
+    Merged.mergeFrom(H.profiler());
   }
 
-  if (Record) {
-    for (unsigned Kind = 0; Kind != runtime::NumDegradationKinds; ++Kind)
-      Record->addExact(std::string("runtime/degradation/") +
-                           runtime::degradationKindName(
-                               static_cast<runtime::DegradationKind>(Kind)),
-                       "count", static_cast<double>(DegradationByKind[Kind]));
-    Record->addExact("runtime/degradation/total", "count",
-                     static_cast<double>(DegradationTotal));
-  }
+  for (unsigned Kind = 0; Kind != runtime::NumDegradationKinds; ++Kind)
+    Record.addExact(std::string("runtime/degradation/") +
+                        runtime::degradationKindName(
+                            static_cast<runtime::DegradationKind>(Kind)),
+                    "count", static_cast<double>(DegradationByKind[Kind]));
+  Record.addExact("runtime/degradation/total", "count",
+                  static_cast<double>(DegradationTotal));
 }
 
 //===----------------------------------------------------------------------===//
@@ -515,188 +441,11 @@ void runMutatorObservabilityStage(BenchRecord &Record) {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Micro stage (wall-only hot-path loops)
-//===----------------------------------------------------------------------===//
-
-runtime::HeapConfig manualHeapConfig() {
-  runtime::HeapConfig Config;
-  Config.TriggerBytes = 0; // Collections driven manually.
-  return Config;
-}
-
-/// Wall samples converted to nanoseconds per operation.
-std::vector<double> measureWallPerOp(const BenchDriverOptions &Options,
-                                     size_t Ops,
-                                     const std::function<void()> &Fn) {
-  std::vector<double> Samples = measureWall(Options, Fn);
-  for (double &S : Samples)
-    S = S * 1e9 / static_cast<double>(Ops);
-  return Samples;
-}
-
-/// Driver-resident counterparts of bench/runtime_micro's hottest loops,
-/// reported as wall ns/op so BENCH records track the raw runtime paths
-/// without a google-benchmark dependency in the library.
-void runMicroStage(const BenchDriverOptions &Options, BenchRecord &Record) {
-  constexpr size_t AllocOps = 100'000;
-  Record.addWall("wall/micro/allocate_ns_per_op", "ns",
-                 measureWallPerOp(Options, AllocOps, [] {
-                   runtime::Heap H(manualHeapConfig());
-                   for (size_t I = 0; I != AllocOps; ++I)
-                     H.allocate(2, 16);
-                 }));
-
-  constexpr size_t BarrierOps = 1'000'000;
-  Record.addWall("wall/micro/write_barrier_backward_ns_per_op", "ns",
-                 measureWallPerOp(Options, BarrierOps, [] {
-                   runtime::Heap H(manualHeapConfig());
-                   runtime::Object *Old = H.allocate(1);
-                   runtime::Object *Young = H.allocate(1);
-                   for (size_t I = 0; I != BarrierOps; ++I)
-                     H.writeSlot(Young, 0, Old);
-                 }));
-
-  Record.addWall("wall/micro/scavenge_full_boundary_seconds", "seconds",
-                 measureWall(Options, [] {
-                   runtime::Heap H(manualHeapConfig());
-                   runtime::HandleScope Scope(H);
-                   runtime::Object *&Head = Scope.slot(nullptr);
-                   for (size_t I = 0; I != 10'000; ++I) {
-                     runtime::Object *Node = H.allocate(1, 16);
-                     H.writeSlot(Node, 0, Head);
-                     Head = Node;
-                     H.allocate(0, 16); // Garbage sibling.
-                   }
-                   H.collectAtBoundary(0);
-                 }));
-}
-
-//===----------------------------------------------------------------------===//
-// Trace wall stage
-//===----------------------------------------------------------------------===//
-
-/// Builds a wide survivor-heavy heap: \p Chains handle-rooted linked
-/// chains of \p Depth nodes each, so every BFS level of the trace carries
-/// ~Chains gray objects.
-void buildTraceGraph(runtime::Heap &H, runtime::HandleScope &Scope,
-                     size_t Chains, size_t Depth) {
-  for (size_t C = 0; C != Chains; ++C) {
-    runtime::Object *&Head = Scope.slot(nullptr);
-    for (size_t D = 0; D != Depth; ++D) {
-      runtime::Object *Node = H.allocate(1, 64);
-      H.writeSlot(Node, 0, Head);
-      Head = Node;
-    }
-  }
-}
-
-/// Wall-times repeated full-heap scavenges of the same survivor graph.
-/// The record has no floor; it tracks the trace's wall cost over time.
-void runTraceWallStage(const BenchDriverOptions &Options,
-                       BenchRecord &Record) {
-  constexpr size_t Chains = 2'048;
-  constexpr size_t Depth = 128;
-
-  runtime::Heap H(manualHeapConfig());
-  runtime::HandleScope Scope(H);
-  buildTraceGraph(H, Scope, Chains, Depth);
-  Record.addWall("wall/runtime/trace_serial_seconds", "seconds",
-                 measureWall(Options, [&] { H.collectAtBoundary(0); }));
-}
-
-//===----------------------------------------------------------------------===//
-// Timing stage (formerly runtime_end_to_end --timing)
-//===----------------------------------------------------------------------===//
-
-/// The parallel-engine and indexed-heap-query speedups: the measurements
-/// runtime_end_to_end --timing published as timing.* gauges before the
-/// BENCH schema existed. Speedups are recorded per repeat (paired ratio),
-/// so their MAD reflects the run-to-run noise of the ratio itself.
-void runTimingStage(const BenchDriverOptions &Options, unsigned Lanes,
-                    BenchRecord &Record) {
-  // Grid: parallel vs. forced-serial paper grid.
-  if (Options.IncludeWall) {
-    ExperimentConfig GridConfig;
-    std::vector<double> ParallelSec = measureWall(Options, [&] {
-      GridConfig.Threads = Lanes;
-      ExperimentGrid::paperGrid(GridConfig);
-    });
-    std::vector<double> SerialSec = measureWall(Options, [&] {
-      GridConfig.Threads = 1;
-      ExperimentGrid::paperGrid(GridConfig);
-    });
-    std::vector<double> Speedup;
-    for (size_t I = 0; I != ParallelSec.size() && I != SerialSec.size(); ++I)
-      Speedup.push_back(ParallelSec[I] > 0.0 ? SerialSec[I] / ParallelSec[I]
-                                             : 0.0);
-    Record.addWall("wall/timing/grid_serial_seconds", "seconds", SerialSec);
-    Record.addWall("wall/timing/grid_parallel_seconds", "seconds",
-                   ParallelSec);
-    Record.addWall("wall/timing/grid_speedup", "ratio", Speedup,
-                   /*LowerIsBetter=*/false);
-  }
-
-  // Heap queries: the largest paper workload under the oracle memory-first
-  // boundary search, indexed vs. retained naive scans. A budget just above
-  // the mean live size binds at every scavenge, so the binary search (the
-  // code being measured) actually runs.
-  const workload::WorkloadSpec *Largest = nullptr;
-  for (const workload::WorkloadSpec &Spec : workload::paperWorkloads())
-    if (!Largest || Spec.TotalAllocationBytes > Largest->TotalAllocationBytes)
-      Largest = &Spec;
-  trace::Trace T = workload::generateTrace(*Largest);
-  trace::TraceStats Stats = trace::computeTraceStats(T);
-  auto MemBudget = static_cast<uint64_t>(Stats.LiveMeanBytes * 1.2);
-  core::OptimalMemoryPolicy MemFirst(MemBudget);
-
-  sim::SimulatorConfig SimConfig;
-  SimConfig.ProgramSeconds = Largest->ProgramSeconds;
-
-  // One deterministic run of each query mode: the consistency check and
-  // the exact metrics.
-  sim::SimulationResult Indexed = sim::simulate(T, MemFirst, SimConfig);
-  SimConfig.UseNaiveHeapQueries = true;
-  sim::SimulationResult Scanned = sim::simulate(T, MemFirst, SimConfig);
-  SimConfig.UseNaiveHeapQueries = false;
-  if (Indexed.TotalTracedBytes != Scanned.TotalTracedBytes ||
-      Indexed.NumScavenges != Scanned.NumScavenges)
-    fatalError("indexed and scan heap-query runs disagree");
-
-  Record.addExact("timing/heap_queries/mem_budget_bytes", "bytes",
-                  static_cast<double>(MemBudget));
-  Record.addExact("timing/heap_queries/num_scavenges", "count",
-                  static_cast<double>(Indexed.NumScavenges));
-  Record.addExact("timing/heap_queries/traced_bytes", "bytes",
-                  static_cast<double>(Indexed.TotalTracedBytes));
-
-  if (Options.IncludeWall) {
-    std::vector<double> IndexedSec = measureWall(Options, [&] {
-      sim::simulate(T, MemFirst, SimConfig);
-    });
-    sim::SimulatorConfig ScanConfig = SimConfig;
-    ScanConfig.UseNaiveHeapQueries = true;
-    std::vector<double> ScanSec = measureWall(Options, [&] {
-      sim::simulate(T, MemFirst, ScanConfig);
-    });
-    std::vector<double> Speedup;
-    for (size_t I = 0; I != IndexedSec.size() && I != ScanSec.size(); ++I)
-      Speedup.push_back(IndexedSec[I] > 0.0 ? ScanSec[I] / IndexedSec[I]
-                                            : 0.0);
-    Record.addWall("wall/timing/heap_queries_scan_seconds", "seconds",
-                   ScanSec);
-    Record.addWall("wall/timing/heap_queries_indexed_seconds", "seconds",
-                   IndexedSec);
-    Record.addWall("wall/timing/heap_queries_speedup", "ratio", Speedup,
-                   /*LowerIsBetter=*/false);
-  }
-}
-
 } // namespace
 
 const std::vector<std::string> &dtb::report::benchSuiteNames() {
   static const std::vector<std::string> Names = {"quick", "paper", "runtime",
-                                                 "timing", "server"};
+                                                 "server"};
   return Names;
 }
 
@@ -704,36 +453,14 @@ BenchSuiteResult dtb::report::runBenchSuite(const BenchDriverOptions &Options) {
   BenchSuiteResult Result;
   BenchRecord &Record = Result.Record;
   Record.Suite = Options.Suite;
-  unsigned Lanes = Options.Threads ? Options.Threads : defaultThreadCount();
-
-  if (Options.IncludeEnv) {
-    Record.HasEnv = true;
-    Record.GitSha = captureLine("git rev-parse HEAD 2>/dev/null");
-    if (Record.GitSha.empty())
-      Record.GitSha = "unknown";
-    Record.BuildFlags = buildFlagsString();
-    Record.Threads = Lanes;
-  }
 
   if (Options.Suite == "quick") {
     profiling::PhaseProfiler &Sim = Result.Profiles["sim"];
     profiling::PhaseProfiler &Runtime = Result.Profiles["runtime"];
     runSimGridStage(quickWorkloads(), quickGridConfig(Options.Threads),
                     Record, Sim);
-    runRuntimePolicies(QuickRuntime, &Record, &Runtime);
+    runRuntimePolicies(QuickRuntime, Record, Runtime);
     runMutatorObservabilityStage(Record);
-    if (Options.IncludeWall) {
-      Record.addWall("wall/quick/sim_grid_seconds", "seconds",
-                     measureWall(Options, [&] {
-                       ExperimentGrid(quickWorkloads(),
-                                      core::paperPolicyNames(),
-                                      quickGridConfig(Options.Threads));
-                     }));
-      Record.addWall("wall/quick/runtime_seconds", "seconds",
-                     measureWall(Options, [&] {
-                       runRuntimePolicies(QuickRuntime, nullptr, nullptr);
-                     }));
-    }
     addProfileToRecord(Sim, "sim", Record);
     addProfileToRecord(Runtime, "runtime", Record);
   } else if (Options.Suite == "paper") {
@@ -742,44 +469,22 @@ BenchSuiteResult dtb::report::runBenchSuite(const BenchDriverOptions &Options) {
     ExperimentConfig Config;
     Config.Threads = Options.Threads;
     runSimGridStage(workload::paperWorkloads(), Config, Record, Sim);
-    runRuntimePolicies(FullRuntime, &Record, &Runtime);
-    if (Options.IncludeWall)
-      Record.addWall("wall/paper/sim_grid_seconds", "seconds",
-                     measureWall(Options, [&] {
-                       ExperimentConfig WallConfig;
-                       WallConfig.Threads = Options.Threads;
-                       ExperimentGrid::paperGrid(WallConfig);
-                     }));
+    runRuntimePolicies(FullRuntime, Record, Runtime);
     addProfileToRecord(Sim, "sim", Record);
     addProfileToRecord(Runtime, "runtime", Record);
   } else if (Options.Suite == "runtime") {
     profiling::PhaseProfiler &Runtime = Result.Profiles["runtime"];
-    runRuntimePolicies(FullRuntime, &Record, &Runtime);
+    runRuntimePolicies(FullRuntime, Record, Runtime);
     runMutatorObservabilityStage(Record);
-    if (Options.IncludeWall) {
-      Record.addWall("wall/runtime/policies_seconds", "seconds",
-                     measureWall(Options, [&] {
-                       runRuntimePolicies(FullRuntime, nullptr, nullptr);
-                     }));
-      runMicroStage(Options, Record);
-      runTraceWallStage(Options, Record);
-    }
     addProfileToRecord(Runtime, "runtime", Record);
-  } else if (Options.Suite == "timing") {
-    runTimingStage(Options, Lanes, Record);
   } else if (Options.Suite == "server") {
     profiling::PhaseProfiler &Sim = Result.Profiles["sim"];
-    runServerGridStage(Options.Threads, &Record, &Sim);
+    runServerGridStage(Options.Threads, Record, Sim);
     runMutatorObservabilityStage(Record);
-    if (Options.IncludeWall)
-      Record.addWall("wall/server/sim_grid_seconds", "seconds",
-                     measureWall(Options, [&] {
-                       runServerGridStage(Options.Threads, nullptr, nullptr);
-                     }));
     addProfileToRecord(Sim, "sim", Record);
   } else {
     fatalError("unknown bench suite '" + Options.Suite +
-               "' (expected quick, paper, runtime, timing, or server)");
+               "' (expected quick, paper, runtime, or server)");
   }
   return Result;
 }

@@ -5,29 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One harness for every perf measurement in the repo, emitting the
-/// BENCH_<suite>.json records of report/BenchRecord.h. Each suite mixes:
-///
-///  * a deterministic pass — simulator grid cells and managed-runtime
-///    mutator runs, per-cell phase profilers folded serially into one
-///    "sim" and one "runtime" domain. Bit-identical for every --threads
-///    value (tasks deposit into preassigned slots, fixed-order merges).
-///  * optional wall measurements ("wall/..." metrics) — warmup runs
-///    discarded, N timed repeats, min/median/MAD recorded. Skipped
-///    entirely under IncludeWall=false so records meant for bit-exact
-///    comparison carry no nondeterminism.
+/// The deterministic benchmark suites, emitting the BENCH_<suite>.json
+/// records of report/BenchRecord.h: simulator grid cells and
+/// managed-runtime mutator runs, scored by exact quantities (bytes traced,
+/// memory, machine-model pause), with per-cell phase profilers folded
+/// serially into one "sim" and one "runtime" domain. Every record is
+/// bit-identical for every --threads value (tasks deposit into
+/// preassigned slots, fixed-order merges). No record holds a wall-clock
+/// time: wall throughput and pause are perfbench's (BENCHMARK.json), and
+/// hot-path micro timings are bench/runtime_micro's.
 ///
 /// Suites:
 ///  * quick  — small steady-state sim grid + a scaled runtime run; the CI
-///             smoke gate (sub-second deterministic pass).
+///             smoke gate (sub-second).
 ///  * paper  — the full Table 2/3/4 workload×policy grid + the
 ///             runtime_end_to_end-scale runtime run.
-///  * runtime— the runtime run plus hot-path micro loops (allocation,
-///             write barrier, boundary scavenge), the driver-resident
-///             counterpart of bench/runtime_micro.
-///  * timing — the parallel-engine and indexed-heap-query speedups that
-///             runtime_end_to_end --timing used to emit as timing.*
-///             gauges, now in the BENCH schema.
+///  * runtime— the runtime_end_to_end-scale runtime run plus the
+///             mutator-observability stage.
 ///  * server — the serverload scenario catalog (serverload/ServerLoad.h)
 ///             under every paper policy, emitting the tail families the
 ///             server story gates: pause p50/p99/p99.9 and
@@ -54,14 +48,6 @@ struct BenchDriverOptions {
   /// Worker threads for the sim fan-out: 0 = process default, 1 = serial.
   /// Deterministic output is independent of this.
   unsigned Threads = 0;
-  /// Timed repeats per wall measurement.
-  unsigned Repeats = 3;
-  /// Discarded warmup runs before the timed repeats.
-  unsigned Warmup = 1;
-  /// Record wall metrics. Off = fully deterministic record.
-  bool IncludeWall = true;
-  /// Record the env block (git SHA, build flags, thread count).
-  bool IncludeEnv = true;
 };
 
 /// A suite's record plus the merged per-domain profilers backing its

@@ -13,35 +13,13 @@
 using namespace dtb;
 using namespace dtb::report;
 
-void BenchMetric::finalize() {
-  SampleSet Set;
-  for (double V : Values)
-    Set.add(V);
-  Min = Set.quantile(0.0);
-  Median = Set.median();
-  Mad = Set.mad();
-}
-
 void BenchRecord::addExact(std::string Name, std::string Unit, double Value,
                            bool LowerIsBetter) {
   BenchMetric M;
   M.Name = std::move(Name);
   M.Unit = std::move(Unit);
   M.LowerIsBetter = LowerIsBetter;
-  M.Exact = true;
   M.Value = Value;
-  Metrics.push_back(std::move(M));
-}
-
-void BenchRecord::addWall(std::string Name, std::string Unit,
-                          std::vector<double> Values, bool LowerIsBetter) {
-  BenchMetric M;
-  M.Name = std::move(Name);
-  M.Unit = std::move(Unit);
-  M.LowerIsBetter = LowerIsBetter;
-  M.Exact = false;
-  M.Values = std::move(Values);
-  M.finalize();
   Metrics.push_back(std::move(M));
 }
 
@@ -99,24 +77,11 @@ std::string quoted(const std::string &S) {
 
 void appendMetric(const BenchMetric &M, std::string &Out) {
   Out += quoted(M.Name) + ": {";
-  Out += "\"kind\": " + std::string(M.Exact ? "\"exact\"" : "\"wall\"");
+  Out += "\"kind\": \"exact\"";
   Out += ", \"unit\": " + quoted(M.Unit);
   Out += ", \"lower_is_better\": " +
          std::string(M.LowerIsBetter ? "true" : "false");
-  if (M.Exact) {
-    Out += ", \"value\": " + num(M.Value);
-  } else {
-    Out += ", \"values\": [";
-    for (size_t I = 0; I != M.Values.size(); ++I) {
-      if (I)
-        Out += ", ";
-      Out += num(M.Values[I]);
-    }
-    Out += "]";
-    Out += ", \"min\": " + num(M.Min);
-    Out += ", \"median\": " + num(M.Median);
-    Out += ", \"mad\": " + num(M.Mad);
-  }
+  Out += ", \"value\": " + num(M.Value);
   Out += "}";
 }
 
@@ -139,13 +104,6 @@ std::string dtb::report::toJson(const BenchRecord &Record) {
   Out += "  \"schema_version\": " + std::to_string(Record.SchemaVersion) +
          ",\n";
   Out += "  \"suite\": " + quoted(Record.Suite) + ",\n";
-  if (Record.HasEnv) {
-    Out += "  \"env\": {\n";
-    Out += "    \"git_sha\": " + quoted(Record.GitSha) + ",\n";
-    Out += "    \"build_flags\": " + quoted(Record.BuildFlags) + ",\n";
-    Out += "    \"threads\": " + std::to_string(Record.Threads) + "\n";
-    Out += "  },\n";
-  }
 
   Out += "  \"metrics\": {";
   for (size_t I = 0; I != Record.Metrics.size(); ++I) {
@@ -213,13 +171,6 @@ bool dtb::report::parseBenchRecord(const std::string &Text, BenchRecord *Out,
   Record.SchemaVersion = static_cast<int>(Version->asDouble());
   Record.Suite = Root.stringOr("suite", "");
 
-  if (const json::Value *Env = Root.find("env"); Env && Env->isObject()) {
-    Record.HasEnv = true;
-    Record.GitSha = Env->stringOr("git_sha", "");
-    Record.BuildFlags = Env->stringOr("build_flags", "");
-    Record.Threads = static_cast<unsigned>(Env->numberOr("threads", 0));
-  }
-
   const json::Value *Metrics = Root.find("metrics");
   if (!Metrics || !Metrics->isObject())
     return fail(Error, "missing metrics object");
@@ -231,34 +182,13 @@ bool dtb::report::parseBenchRecord(const std::string &Text, BenchRecord *Out,
     M.Unit = V.stringOr("unit", "");
     M.LowerIsBetter = boolOr(V, "lower_is_better", true);
     std::string Kind = V.stringOr("kind", "exact");
-    if (Kind == "exact") {
-      M.Exact = true;
-      const json::Value *Value = V.find("value");
-      if (!Value || !Value->isNumber())
-        return fail(Error, "exact metric '" + Name + "' has no value");
-      M.Value = Value->asDouble();
-    } else if (Kind == "wall") {
-      M.Exact = false;
-      const json::Value *Values = V.find("values");
-      if (!Values || !Values->isArray())
-        return fail(Error, "wall metric '" + Name + "' has no values array");
-      for (const json::Value &Sample : Values->items()) {
-        if (!Sample.isNumber())
-          return fail(Error, "wall metric '" + Name +
-                                 "' has a non-numeric sample");
-        M.Values.push_back(Sample.asDouble());
-      }
-      // Trust the derived statistics if present (exact round-trip);
-      // recompute otherwise.
-      if (V.find("median"))
-        M.Min = V.numberOr("min", 0.0), M.Median = V.numberOr("median", 0.0),
-        M.Mad = V.numberOr("mad", 0.0);
-      else
-        M.finalize();
-    } else {
+    if (Kind != "exact")
       return fail(Error, "metric '" + Name + "' has unknown kind '" + Kind +
                              "'");
-    }
+    const json::Value *Value = V.find("value");
+    if (!Value || !Value->isNumber())
+      return fail(Error, "exact metric '" + Name + "' has no value");
+    M.Value = Value->asDouble();
     Record.Metrics.push_back(std::move(M));
   }
 

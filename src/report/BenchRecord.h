@@ -10,16 +10,12 @@
 ///
 ///  * exact metrics — deterministic values (bytes traced, scavenge counts,
 ///    pause quantiles in machine-model milliseconds). Bit-identical across
-///    runs and thread counts; the comparator gates on equality.
-///  * wall metrics — repeated wall-clock measurements with min / median /
-///    MAD, compared against a noise threshold derived from the MAD. Named
-///    under the "wall/" prefix, mirroring telemetry's quarantine rule.
+///    runs and thread counts; the comparator gates on equality. Each
+///    serializes with "kind": "exact"; any other kind fails to parse.
 ///  * phases — the per-phase cost attribution from profiling::PhaseProfiler,
 ///    one block per domain ("sim", "runtime"). Deterministic self/total
 ///    costs are also mirrored as exact metrics so the comparator covers
 ///    them without special cases.
-///  * env — git SHA, build flags, thread count. Optional (--no-env) so
-///    records meant to be bit-compared can omit machine identity.
 ///
 /// Reading back uses support/Json; writing is local to this component so
 /// the format is producer-controlled (shortest round-trip doubles via the
@@ -44,31 +40,16 @@ namespace report {
 /// refuses mixed-version comparisons (exit 2).
 inline constexpr int BenchSchemaVersion = 1;
 
-/// One named measurement. Exactly one of the two kinds:
-///  * Exact: a single deterministic Value.
-///  * Wall: Values holds one sample per repeat; Min/Median/Mad are derived
-///    (finalize()).
+/// One named deterministic measurement.
 struct BenchMetric {
-  /// "/"-separated path, e.g. "sim/ghost/full/mem_mean_bytes" or
-  /// "wall/quick/sim_grid_seconds".
+  /// "/"-separated path, e.g. "sim/ghost/full/mem_mean_bytes".
   std::string Name;
-  /// Measurement unit ("bytes", "count", "ms", "seconds", "ratio").
+  /// Measurement unit ("bytes", "count", "ms", "cost").
   std::string Unit;
   /// Direction of improvement; the comparator needs it to tell a
   /// regression from a win.
   bool LowerIsBetter = true;
-  bool Exact = true;
-
-  double Value = 0.0;         // Exact kind only.
-  std::vector<double> Values; // Wall kind only: one sample per repeat.
-  double Min = 0.0;
-  double Median = 0.0;
-  /// Median absolute deviation of Values — the robust noise floor the
-  /// comparator scales into its threshold.
-  double Mad = 0.0;
-
-  /// Computes Min/Median/Mad from Values (wall kind).
-  void finalize();
+  double Value = 0.0;
 };
 
 /// Per-phase aggregate snapshot for the "phases" block.
@@ -89,12 +70,6 @@ struct BenchRecord {
   int SchemaVersion = BenchSchemaVersion;
   std::string Suite;
 
-  /// Environment identity; omitted from the JSON when HasEnv is false.
-  bool HasEnv = false;
-  std::string GitSha;
-  std::string BuildFlags;
-  unsigned Threads = 0;
-
   /// Emission order is preserved in the JSON; lookup is by name.
   std::vector<BenchMetric> Metrics;
   std::vector<BenchPhase> Phases;
@@ -102,9 +77,6 @@ struct BenchRecord {
   /// Appends an exact metric.
   void addExact(std::string Name, std::string Unit, double Value,
                 bool LowerIsBetter = true);
-  /// Appends a wall metric from raw repeat samples (finalized).
-  void addWall(std::string Name, std::string Unit,
-               std::vector<double> Values, bool LowerIsBetter = true);
 
   /// Metric lookup by full name; nullptr when absent.
   const BenchMetric *findMetric(const std::string &Name) const;

@@ -80,7 +80,7 @@ struct SimulatorConfig {
   uint64_t CurveSampleBytes = 100'000;
   /// When true, the heap model answers oracle queries with the original
   /// O(residents) scans instead of the incremental indexes — the timing
-  /// baseline for bench/runtime_end_to_end --timing. Results are
+  /// baseline for bench/runtime_micro's BM_SimHeapQueries/1. Results are
   /// identical either way.
   bool UseNaiveHeapQueries = false;
   /// When true, every indexed heap-model query is cross-checked against

@@ -48,16 +48,6 @@ double SampleSet::quantile(double Q) const {
   return Sorted[Index];
 }
 
-double SampleSet::mad() const {
-  if (Samples.empty())
-    return 0.0;
-  double Median = quantile(0.5);
-  SampleSet Deviations;
-  for (double X : Samples)
-    Deviations.add(std::fabs(X - Median));
-  return Deviations.quantile(0.5);
-}
-
 double SampleSet::sum() const {
   return std::accumulate(Samples.begin(), Samples.end(), 0.0);
 }

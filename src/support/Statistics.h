@@ -126,9 +126,6 @@ public:
 
   double median() const { return quantile(0.5); }
   double percentile90() const { return quantile(0.9); }
-  /// Median absolute deviation from the median — a robust spread estimate
-  /// (the bench comparator's noise floor). Returns 0 for an empty set.
-  double mad() const;
   double sum() const;
   double mean() const;
   double maxValue() const;

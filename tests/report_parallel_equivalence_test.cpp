@@ -131,15 +131,12 @@ TEST(ParallelEquivalenceTest, SeedSweepMatchesSerial) {
 }
 
 TEST(ParallelEquivalenceTest, BenchRecordBitIdenticalAcrossThreads) {
-  // The continuous-perf gate depends on this: a BENCH record produced
-  // without wall metrics or env identity is byte-for-byte the same JSON
-  // for any worker count — including every per-phase allocation-clock
+  // The continuous-perf gate depends on this: a BENCH record is
+  // byte-for-byte the same JSON for any worker count — including every per-phase allocation-clock
   // attribution — so a --threads 4 CI run compares clean against a
   // --threads 1 baseline.
   BenchDriverOptions Options;
   Options.Suite = "quick";
-  Options.IncludeWall = false;
-  Options.IncludeEnv = false;
 
   Options.Threads = 1;
   BenchSuiteResult Serial = runBenchSuite(Options);

@@ -7,9 +7,11 @@
 
 #include "sim/Simulator.h"
 
+#include "core/OptimalPolicies.h"
 #include "core/Policies.h"
 #include "support/Random.h"
 #include "trace/TraceStats.h"
+#include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
@@ -183,4 +185,37 @@ TEST(SimulatorTest, HugeObjectCrossingSeveralTriggersCausesOneScavenge) {
   // The 50 KB allocation crosses five trigger points but fires once; the
   // following 100-byte allocation does not reach the next trigger.
   EXPECT_EQ(R.NumScavenges, 1u);
+}
+
+TEST(SimulatorTest, NaiveHeapQueriesMatchIndexedQueries) {
+  // The heap model answers the policies' demographics queries from
+  // incremental indexes; the retained O(residents) scans are the baseline
+  // they must reproduce exactly. A memory budget just above the mean live
+  // size makes the oracle's boundary search query at every scavenge.
+  trace::Trace T =
+      workload::generateTrace(workload::makeSteadyStateSpec(300'000, 7));
+  auto MemBudget = static_cast<uint64_t>(
+      trace::computeTraceStats(T).LiveMeanBytes * 1.2);
+  SimulatorConfig Config = smallConfig();
+
+  core::OptimalMemoryPolicy Indexed(MemBudget);
+  SimulationResult A = simulate(T, Indexed, Config);
+  Config.UseNaiveHeapQueries = true;
+  core::OptimalMemoryPolicy Scanned(MemBudget);
+  SimulationResult B = simulate(T, Scanned, Config);
+
+  ASSERT_GT(A.NumScavenges, 0u);
+  EXPECT_EQ(A.NumScavenges, B.NumScavenges);
+  EXPECT_EQ(A.TotalTracedBytes, B.TotalTracedBytes);
+  ASSERT_EQ(A.History.size(), B.History.size());
+  for (uint64_t I = 1; I <= A.History.size(); ++I) {
+    const core::ScavengeRecord &X = A.History.record(I);
+    const core::ScavengeRecord &Y = B.History.record(I);
+    EXPECT_EQ(X.Time, Y.Time) << "scavenge " << I;
+    EXPECT_EQ(X.Boundary, Y.Boundary) << "scavenge " << I;
+    EXPECT_EQ(X.TracedBytes, Y.TracedBytes) << "scavenge " << I;
+    EXPECT_EQ(X.MemBeforeBytes, Y.MemBeforeBytes) << "scavenge " << I;
+    EXPECT_EQ(X.SurvivedBytes, Y.SurvivedBytes) << "scavenge " << I;
+    EXPECT_EQ(X.ReclaimedBytes, Y.ReclaimedBytes) << "scavenge " << I;
+  }
 }

@@ -143,30 +143,6 @@ TEST(SampleSetTest, SingleSampleExtremeQuantilesClamp) {
   EXPECT_DOUBLE_EQ(S.quantile(-0.5), 42.0);
 }
 
-TEST(SampleSetTest, MedianAbsoluteDeviation) {
-  // MAD of {1, 2, 3, 10}: nearest-rank median is 2, deviations {1, 0, 1, 8}
-  // have median 1. The 10 outlier moves the stddev a lot and the MAD not
-  // at all — which is why the bench comparator's noise floor uses it.
-  SampleSet S;
-  for (double X : {3.0, 1.0, 2.0, 10.0})
-    S.add(X);
-  EXPECT_DOUBLE_EQ(S.mad(), 1.0);
-}
-
-TEST(SampleSetTest, MadOfConstantSamplesIsZero) {
-  SampleSet S;
-  for (int I = 0; I != 5; ++I)
-    S.add(7.5);
-  EXPECT_DOUBLE_EQ(S.mad(), 0.0);
-
-  SampleSet Single;
-  Single.add(3.0);
-  EXPECT_DOUBLE_EQ(Single.mad(), 0.0);
-
-  SampleSet Empty;
-  EXPECT_DOUBLE_EQ(Empty.mad(), 0.0);
-}
-
 TEST(HistogramTest, BucketsAndSaturation) {
   Histogram H(0.0, 10.0, 5);
   H.add(0.5);   // Bucket 0.
